@@ -61,6 +61,17 @@ func (d Direction) Index() int {
 	return -1
 }
 
+// Initials abbreviates d to the upper-cased first letters of its words
+// ("Big Data management" → "BDM"): the row and column labels of every
+// confusion-matrix rendering.
+func (d Direction) Initials() string {
+	out := ""
+	for _, w := range strings.Fields(string(d)) {
+		out += strings.ToUpper(w[:1])
+	}
+	return out
+}
+
 // Institution is a research institution contributing tools to the study.
 type Institution struct {
 	ID   string `json:"id"`   // short code, e.g. "UNITO"

@@ -169,24 +169,16 @@ func (m *ConfusionMatrix) Misclassified() int {
 }
 
 // String renders the matrix compactly with directions abbreviated to their
-// first two words' initials.
+// initials.
 func (m *ConfusionMatrix) String() string {
-	abbr := func(d catalog.Direction) string {
-		parts := strings.Fields(string(d))
-		out := ""
-		for _, p := range parts {
-			out += strings.ToUpper(p[:1])
-		}
-		return out
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s", "t\\p")
 	for _, d := range catalog.Directions() {
-		fmt.Fprintf(&b, "%5s", abbr(d))
+		fmt.Fprintf(&b, "%5s", d.Initials())
 	}
 	b.WriteByte('\n')
 	for _, d := range catalog.Directions() {
-		fmt.Fprintf(&b, "%-6s", abbr(d))
+		fmt.Fprintf(&b, "%-6s", d.Initials())
 		for _, p := range catalog.Directions() {
 			fmt.Fprintf(&b, "%5d", m.Counts[d][p])
 		}

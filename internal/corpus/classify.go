@@ -3,9 +3,9 @@ package corpus
 // The sharded classification engine. The corpus is cut into fixed-size
 // shards of ShardSize entries; each shard's classification aggregate is an
 // exact-integer summary (confusion counts, length sums) that merges
-// associatively, so par.MapReduceScratch can fold shards in index order and
-// produce bit-identical results at any worker count. Every shard aggregate
-// is memoized in the content-addressed store under a key derived from the
+// associatively, and exp.MapShards folds the shards in index order, so the
+// result is bit-identical at any worker count. Every shard aggregate is
+// memoized in the content-addressed store under a key derived from the
 // generator parameters, the compiled keyword scheme, and the shard's entry
 // range — never from the total corpus size — which gives the two scaling
 // properties the engine is for:
@@ -16,7 +16,6 @@ package corpus
 //     shards execute (partial invalidation, pinned by tests).
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -39,12 +38,7 @@ const ShardSize = 4096
 const shardVersion = "corpus/shard/v1"
 
 // NumShards reports how many shards a corpus of n entries splits into.
-func NumShards(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + ShardSize - 1) / ShardSize
-}
+func NumShards(n int) int { return exp.NumShards(n, ShardSize) }
 
 // Aggregate is the exact-integer classification summary of a corpus slice.
 // Merging is elementwise addition (min/max for the length bounds), so the
@@ -122,15 +116,6 @@ func (a *Aggregate) Accuracy() float64 {
 	return float64(a.Correct()) / float64(a.Total)
 }
 
-// RunStats reports how a sharded run was satisfied. It never affects the
-// Aggregate — only telemetry and tests read it.
-type RunStats struct {
-	// ShardsExecuted counts shard bodies that actually classified entries.
-	ShardsExecuted int
-	// ShardsCached counts shards served from the content-addressed store.
-	ShardsCached int
-}
-
 // shardScratch is the pooled working set of one in-flight shard body: the
 // classifier scratch and the description buffer, reused across shards and
 // across whole runs.
@@ -145,7 +130,7 @@ var scratchPool = par.NewPool(func() *shardScratch { return &shardScratch{} })
 // that determines the shard's aggregate — generation parameters, root seed,
 // compiled keyword scheme, shard index and entry range — and nothing that
 // doesn't (total corpus size, worker count).
-func shardKey(g *Generator, s, lo, hi int) cas.Key {
+func (g *Generator) shardKey(s, lo, hi int) cas.Key {
 	fp := fmt.Sprintf("%s|scheme=%s|%s|seed=%d|range=%d:%d",
 		shardVersion, core.SchemeFingerprint(), g.spec.fingerprint(), g.seed, lo, hi)
 	return cas.StepKey("corpus", fmt.Sprintf("shard-%d", s), fp, nil)
@@ -169,105 +154,21 @@ func classifyShard(g *Generator, cls *core.Classifier, lo, hi int, sc *shardScra
 	return agg
 }
 
-// lookupShard serves a memoized shard aggregate from the store.
-func lookupShard(store cas.Store, key cas.Key) (*Aggregate, bool, error) {
-	target, ok, err := store.Resolve(key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	data, found, err := store.Get(target)
-	if err != nil || !found {
-		// Dangling link (evicted artifact): fall back to executing.
-		return nil, false, err
-	}
-	var agg Aggregate
-	if err := json.Unmarshal(data, &agg); err != nil {
-		return nil, false, fmt.Errorf("corpus: decoding cached shard: %w", err)
-	}
-	return &agg, true, nil
-}
-
-// storeShard memoizes one executed shard aggregate.
-func storeShard(store cas.Store, key cas.Key, agg *Aggregate) error {
-	data, err := json.Marshal(agg)
-	if err != nil {
-		return fmt.Errorf("corpus: encoding shard: %w", err)
-	}
-	artifact, err := store.Put(data)
-	if err != nil {
-		return err
-	}
-	return store.Link(key, artifact)
-}
-
-// ClassifyAll classifies the whole corpus of g under env: a
-// par.MapReduceScratch over the corpus shards, each shard either served
-// from env.Store or generated+classified through the compiled automaton on
-// pooled scratch, partials merged in shard order. The Aggregate is
-// bit-identical for any worker count and any cache state; RunStats reports
-// the hit/execute split (also accumulated on env.Metrics as
-// corpus.shards.hit / corpus.shards.exec).
-func ClassifyAll(env *exp.Env, g *Generator) (*Aggregate, RunStats, error) {
-	type partial struct {
-		agg      Aggregate
-		executed int
-		cached   int
-	}
-	nShards := NumShards(g.spec.N)
+// ClassifyAll classifies the whole corpus of g under env through
+// exp.MapShards: each shard is either served from env.Store or generated
+// and classified through the compiled automaton on pooled scratch, and the
+// shard aggregates fold in shard order. The Aggregate is bit-identical for
+// any worker count and any cache state; the ShardStats hit/execute split
+// is also accumulated on env.Metrics as corpus.shards.hit /
+// corpus.shards.exec.
+func ClassifyAll(env *exp.Env, g *Generator) (*Aggregate, exp.ShardStats, error) {
 	cls := core.Compiled()
-	opts := append(append([]par.Option{}, env.ParOpts()...), par.Grain(1))
-	res, err := par.MapReduceScratch(nShards, scratchPool,
-		func(_, lo, hi int, sc *shardScratch) (partial, error) {
-			var p partial
-			for s := lo; s < hi; s++ {
-				elo, ehi := s*ShardSize, min((s+1)*ShardSize, g.spec.N)
-				var key cas.Key
-				if env.Store != nil {
-					key = shardKey(g, s, elo, ehi)
-					if agg, ok, err := lookupShard(env.Store, key); err != nil {
-						return p, err
-					} else if ok {
-						p.agg.Merge(agg)
-						p.cached++
-						continue
-					}
-				}
-				agg := classifyShard(g, cls, elo, ehi, sc)
-				if env.Store != nil {
-					if err := storeShard(env.Store, key, &agg); err != nil {
-						return p, err
-					}
-				}
-				p.agg.Merge(&agg)
-				p.executed++
-			}
-			return p, nil
-		},
-		func(a, b partial) partial {
-			a.agg.Merge(&b.agg)
-			a.executed += b.executed
-			a.cached += b.cached
-			return a
-		}, opts...)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	stats := RunStats{ShardsExecuted: res.executed, ShardsCached: res.cached}
-	if env.Metrics != nil {
-		env.Metrics.Inc("corpus.shards.exec", int64(stats.ShardsExecuted))
-		env.Metrics.Inc("corpus.shards.hit", int64(stats.ShardsCached))
-	}
-	return &res.agg, stats, nil
-}
-
-// abbr abbreviates a direction to its initials, like the core confusion
-// matrix rendering ("Interactive computing" → "IC").
-func abbr(d catalog.Direction) string {
-	out := ""
-	for _, w := range strings.Fields(string(d)) {
-		out += strings.ToUpper(w[:1])
-	}
-	return out
+	return exp.MapShards(env, "corpus", g.spec.N, ShardSize, g.shardKey,
+		func(_, lo, hi int) (Aggregate, error) {
+			sc := scratchPool.Get()
+			defer scratchPool.Put(sc)
+			return classifyShard(g, cls, lo, hi, sc), nil
+		}, (*Aggregate).Merge)
 }
 
 // RenderClassify renders the classification view of an aggregate: the 5×5
@@ -279,11 +180,11 @@ func (a *Aggregate) RenderClassify() string {
 	fmt.Fprintf(&b, "%-6s", "t\\p")
 	dirs := catalog.Directions()
 	for _, d := range dirs {
-		fmt.Fprintf(&b, "%9s", abbr(d))
+		fmt.Fprintf(&b, "%9s", d.Initials())
 	}
 	b.WriteByte('\n')
 	for t, d := range dirs {
-		fmt.Fprintf(&b, "%-6s", abbr(d))
+		fmt.Fprintf(&b, "%-6s", d.Initials())
 		for p := range dirs {
 			fmt.Fprintf(&b, "%9d", a.Confusion[t][p])
 		}

@@ -10,8 +10,8 @@
 // function of (seed, i) — shards can generate their slices independently,
 // in any order, on any worker count, and always produce the same bytes.
 // Classification runs the compiled keyword automaton (core.Compiled) over
-// fixed-size corpus shards under par.MapReduceScratch, memoizing each
-// shard's aggregate in the content-addressed store: a warm re-run executes
+// fixed-size corpus shards under exp.MapShards, memoizing each shard's
+// aggregate in the content-addressed store: a warm re-run executes
 // zero shard bodies, and growing the corpus re-executes only the shards
 // whose entry ranges actually changed (classify.go).
 package corpus

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cas"
+	"repro/internal/exp"
 	"repro/internal/runpack"
 )
 
@@ -51,6 +52,49 @@ func TestRunPackedAllExperiments(t *testing.T) {
 	}
 	if len(seen) != reg.Len() {
 		t.Fatalf("sealed %d packs, want %d", len(seen), reg.Len())
+	}
+}
+
+// The material fields of a report.full pack are a pure function of the
+// run: sealing it with no store, with a cold store, and with a store whose
+// report sections were warmed by another seed differs in provenance only.
+// The section hit/miss split of each run is visible in telemetry.
+func TestReportPackIgnoresCacheState(t *testing.T) {
+	reg := registry(t)
+	key := runpack.DevKey()
+	seal := func(store cas.Store) (*runpack.Pack, *exp.Env) {
+		t.Helper()
+		env := simEnv(3)
+		env.Store = store
+		_, pack, err := reg.RunPacked(context.Background(), env, "report.full", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pack, env
+	}
+	bare, _ := seal(nil)
+	cold, coldEnv := seal(cas.NewMemStore())
+	if coldEnv.Metrics.Counter("cas.misses") == 0 {
+		t.Fatal("cold store: no report section missed")
+	}
+	warmed := cas.NewMemStore()
+	other := simEnv(4)
+	other.Store = warmed
+	if _, err := reg.Run(context.Background(), other, "report.full"); err != nil {
+		t.Fatal(err)
+	}
+	warm, warmEnv := seal(warmed)
+	if warmEnv.Metrics.Counter("cas.hits") == 0 || warmEnv.Metrics.Counter("cas.misses") != 0 {
+		t.Fatalf("section-warm store: cas.hits=%d cas.misses=%d, want every section a hit",
+			warmEnv.Metrics.Counter("cas.hits"), warmEnv.Metrics.Counter("cas.misses"))
+	}
+	for _, c := range []struct {
+		name string
+		pack *runpack.Pack
+	}{{"cold store", cold}, {"section-warm store", warm}} {
+		if d := runpack.Diff(bare, c.pack); d.Material {
+			t.Errorf("%s: material drift against the storeless run:\n%s", c.name, d.Text())
+		}
 	}
 }
 

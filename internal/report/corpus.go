@@ -32,16 +32,6 @@ func CorpusAggregate() (*corpus.Aggregate, error) {
 	return agg, err
 }
 
-// initials abbreviates a direction to its initials ("Big Data management"
-// → "BDM"), matching the core confusion-matrix rendering.
-func initials(d catalog.Direction) string {
-	out := ""
-	for _, w := range strings.Fields(string(d)) {
-		out += strings.ToUpper(w[:1])
-	}
-	return out
-}
-
 // CorpusTable renders the corpus confusion counts as a table: rows are
 // true directions, columns predicted directions, plus per-direction totals.
 func CorpusTable(a *corpus.Aggregate) *charts.Table {
@@ -51,7 +41,7 @@ func CorpusTable(a *corpus.Aggregate) *charts.Table {
 		Header: []string{"true \\ predicted"},
 	}
 	for _, d := range dirs {
-		tb.Header = append(tb.Header, initials(d))
+		tb.Header = append(tb.Header, d.Initials())
 	}
 	tb.Header = append(tb.Header, "total")
 	for t, d := range dirs {
@@ -75,7 +65,7 @@ func CorpusIncidence(a *corpus.Aggregate) *charts.Matrix {
 		Title: fmt.Sprintf("Corpus confusion incidence (%d synthetic entries)", a.Total),
 	}
 	for _, d := range dirs {
-		m.ColLabels = append(m.ColLabels, initials(d))
+		m.ColLabels = append(m.ColLabels, d.Initials())
 	}
 	for t, d := range dirs {
 		m.RowLabels = append(m.RowLabels, string(d))

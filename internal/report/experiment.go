@@ -24,13 +24,15 @@ func Experiment(s *core.Study) (exp.Experiment, error) {
 		Desc: "full study report: every table and figure of the paper plus the synthesized discussion",
 		Run: func(ctx context.Context, env *exp.Env, spec exp.Spec) (*exp.Result, error) {
 			var (
-				full  string
-				stats cas.RunStats
-				err   error
+				full string
+				err  error
 			)
 			if env.Store != nil {
+				// Section hits and misses depend on the cache state, so
+				// they reach telemetry only (cas.hits / cas.misses on
+				// env.Metrics), never the Result.
 				m := &cas.Memo{Store: env.Store, Clock: env.Clk(), Metrics: env.Metrics}
-				full, stats, err = FullCachedEnv(s, m, env)
+				full, _, err = FullCachedEnv(s, m, env)
 			} else {
 				full, err = FullEnv(s, env)
 			}
@@ -39,11 +41,7 @@ func Experiment(s *core.Study) (exp.Experiment, error) {
 			}
 			return &exp.Result{
 				Artifacts: map[string]string{"report.txt": full},
-				Metrics: map[string]float64{
-					"bytes":          float64(len(full)),
-					"section.hits":   float64(stats.Hits),
-					"section.misses": float64(stats.Misses),
-				},
+				Metrics:   map[string]float64{"bytes": float64(len(full))},
 			}, nil
 		},
 	}, nil

@@ -37,10 +37,8 @@ import (
 	"repro/internal/mlir"
 	"repro/internal/netlink"
 	"repro/internal/orchestrator"
-	"repro/internal/par"
 	"repro/internal/pmu"
 	"repro/internal/ppc"
-	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/survey"
 	"repro/internal/workflow"
@@ -1321,8 +1319,3 @@ func (op MutateCorpus) Apply(ctx context.Context, env *exp.Env, st *State) error
 	st.Observe("corpus.accuracy", float64(correct)/float64(classified))
 	return nil
 }
-
-// seededPlacementRng keeps rng and par imported for the ops above that
-// document their seeding discipline.
-var _ = rng.New
-var _ = par.SplitSeed

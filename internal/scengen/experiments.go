@@ -31,7 +31,7 @@ func Experiments() []exp.Experiment {
 			Desc: fmt.Sprintf("%s (%d generated configurations)", f.Desc, f.Size),
 			Run: func(ctx context.Context, env *exp.Env, spec exp.Spec) (*exp.Result, error) {
 				sp := env.StartSpan("scengen", f.Name)
-				// RunStats are cache-state-dependent and go to telemetry
+				// ShardStats are cache-state-dependent and go to telemetry
 				// only: the Result must be byte-identical cold and warm.
 				agg, _, err := RunFamily(ctx, env, f)
 				sp.End(err)

@@ -1,49 +1,23 @@
 package scengen
 
-// The sharded family executor, mirroring internal/corpus: a family's
-// configurations are cut into fixed-size shards whose exact aggregates
-// merge associatively in shard order, each shard memoized in the
-// content-addressed store under a key derived from (env seed, family,
-// entry range) — never the family size — so warm re-runs execute zero
-// configuration bodies and growing a family only executes the new tail.
+// The sharded family executor: a family's configurations are cut into
+// fixed-size shards for exp.MapShards, the same executor as
+// internal/corpus. Each shard is memoized in the content-addressed store
+// under a key derived from (env seed, family, entry range) — never the
+// family size — so warm re-runs execute zero configuration bodies and
+// growing a family only executes the new tail.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/cas"
 	"repro/internal/exp"
-	"repro/internal/par"
 	"repro/internal/scenarios"
 )
-
-// mapShards folds body over the shard indices with the env's worker pool
-// at grain 1 (one shard per chunk), merging partials in shard order so the
-// result is bit-identical at any worker count.
-func mapShards[R any](env *exp.Env, nShards, size int,
-	body func(s, elo, ehi int) (R, error), merge func(R, R) R) (R, error) {
-	opts := append(append([]par.Option{}, env.ParOpts()...), par.Grain(1))
-	return par.MapReduceN(nShards, func(_, lo, hi int) (R, error) {
-		var acc R
-		for s := lo; s < hi; s++ {
-			elo, ehi := s*ShardSize, min((s+1)*ShardSize, size)
-			r, err := body(s, elo, ehi)
-			if err != nil {
-				var zero R
-				return zero, err
-			}
-			if s == lo {
-				acc = r
-			} else {
-				acc = merge(acc, r)
-			}
-		}
-		return acc, nil
-	}, merge, opts...)
-}
 
 // ShardSize is the fixed number of configurations per memo shard. Like the
 // corpus shard geometry it depends only on configuration indices, never on
@@ -55,12 +29,7 @@ const ShardSize = 64
 const shardVersion = "scengen/shard/v1"
 
 // NumShards reports how many shards a family of n configurations splits into.
-func NumShards(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + ShardSize - 1) / ShardSize
-}
+func NumShards(n int) int { return exp.NumShards(n, ShardSize) }
 
 // Aggregate is the summary of a configuration range: config/op counts and
 // per-observation sums with counts. Merging is keywise addition folded in
@@ -117,15 +86,6 @@ func (a *Aggregate) Render() string {
 		fmt.Fprintf(&b, "%-26s %8d %16.4f %14.4f\n", k, n, a.ObsSum[k], mean)
 	}
 	return b.String()
-}
-
-// RunStats reports how a sharded family run was satisfied; it never
-// affects the Aggregate.
-type RunStats struct {
-	// ShardsExecuted counts shard bodies that actually ran configurations.
-	ShardsExecuted int
-	// ShardsCached counts shards served from the content-addressed store.
-	ShardsCached int
 }
 
 // CheckInvariants asserts the conservation invariants every generated
@@ -210,95 +170,30 @@ func (a *Aggregate) accumulate(cfg Config, st *scenarios.State) {
 }
 
 // RunFamily executes (or resolves from cache) every configuration of the
-// family under env: a parallel map-reduce over config shards with
-// per-shard memoization, partials merged in shard order. The Aggregate is
-// bit-identical for any worker count and any cache state; RunStats reports
-// the hit/execute split (also accumulated on env.Metrics as
-// scengen.shards.hit / scengen.shards.exec / scengen.configs.exec).
-func RunFamily(ctx context.Context, env *exp.Env, f Family) (*Aggregate, RunStats, error) {
-	type partial struct {
-		agg      Aggregate
-		executed int
-		cached   int
-		configs  int
-	}
-	res, err := mapShards(env, NumShards(f.Size), f.Size, func(s, elo, ehi int) (partial, error) {
-		var p partial
-		var key cas.Key
-		if env.Store != nil {
-			key = shardKey(env, f, s, elo, ehi)
-			if agg, ok, err := lookupShard(env.Store, key); err != nil {
-				return p, err
-			} else if ok {
-				p.agg.Merge(agg)
-				p.cached++
-				return p, nil
+// family under env through exp.MapShards: per-shard memoization on the env
+// worker pool, shard aggregates folded in shard order. The Aggregate is
+// bit-identical for any worker count and any cache state; the ShardStats
+// hit/execute split is also accumulated on env.Metrics as
+// scengen.shards.hit / scengen.shards.exec, beside scengen.configs.exec.
+func RunFamily(ctx context.Context, env *exp.Env, f Family) (*Aggregate, exp.ShardStats, error) {
+	var configs atomic.Int64
+	agg, stats, err := exp.MapShards(env, "scengen", f.Size, ShardSize,
+		func(s, lo, hi int) cas.Key { return shardKey(env, f, s, lo, hi) },
+		func(_, lo, hi int) (Aggregate, error) {
+			var agg Aggregate
+			for i := lo; i < hi; i++ {
+				cfg := f.Config(env, i)
+				st, err := RunConfig(ctx, env, cfg)
+				if err != nil {
+					return agg, err
+				}
+				agg.accumulate(cfg, st)
 			}
-		}
-		var agg Aggregate
-		for i := elo; i < ehi; i++ {
-			cfg := f.Config(env, i)
-			st, err := RunConfig(ctx, env, cfg)
-			if err != nil {
-				return p, err
-			}
-			agg.accumulate(cfg, st)
-			p.configs++
-		}
-		if env.Store != nil {
-			if err := storeShard(env.Store, key, &agg); err != nil {
-				return p, err
-			}
-		}
-		p.agg.Merge(&agg)
-		p.executed++
-		return p, nil
-	}, func(a, b partial) partial {
-		a.agg.Merge(&b.agg)
-		a.executed += b.executed
-		a.cached += b.cached
-		a.configs += b.configs
-		return a
-	})
-	if err != nil {
-		return nil, RunStats{}, err
+			configs.Add(int64(hi - lo))
+			return agg, nil
+		}, (*Aggregate).Merge)
+	if err == nil && env.Metrics != nil {
+		env.Metrics.Inc("scengen.configs.exec", configs.Load())
 	}
-	stats := RunStats{ShardsExecuted: res.executed, ShardsCached: res.cached}
-	if env.Metrics != nil {
-		env.Metrics.Inc("scengen.shards.exec", int64(stats.ShardsExecuted))
-		env.Metrics.Inc("scengen.shards.hit", int64(stats.ShardsCached))
-		env.Metrics.Inc("scengen.configs.exec", int64(res.configs))
-	}
-	return &res.agg, stats, nil
-}
-
-// lookupShard serves a memoized shard aggregate from the store.
-func lookupShard(store cas.Store, key cas.Key) (*Aggregate, bool, error) {
-	target, ok, err := store.Resolve(key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	data, found, err := store.Get(target)
-	if err != nil || !found {
-		// Dangling link (evicted artifact): fall back to executing.
-		return nil, false, err
-	}
-	var agg Aggregate
-	if err := json.Unmarshal(data, &agg); err != nil {
-		return nil, false, fmt.Errorf("scengen: decoding cached shard: %w", err)
-	}
-	return &agg, true, nil
-}
-
-// storeShard memoizes one executed shard aggregate.
-func storeShard(store cas.Store, key cas.Key, agg *Aggregate) error {
-	data, err := json.Marshal(agg)
-	if err != nil {
-		return fmt.Errorf("scengen: encoding shard: %w", err)
-	}
-	artifact, err := store.Put(data)
-	if err != nil {
-		return err
-	}
-	return store.Link(key, artifact)
+	return agg, stats, err
 }
