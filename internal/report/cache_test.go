@@ -122,9 +122,9 @@ func TestFullCachedInvalidation(t *testing.T) {
 	}
 }
 
-// The bench-cache pair: cold = fresh store every iteration (every section
-// renders), warm = primed store (zero bodies execute). `make bench-cache`
-// records both in BENCH_cas.json together with the per-iteration step
+// The cas bench leg: cold = fresh store every iteration (every section
+// renders), warm = primed store (zero bodies execute). `make bench-gate`
+// holds both to BENCH_cas.json, which also records the per-iteration step
 // executions.
 func BenchmarkReportBuildCold(b *testing.B) {
 	s, err := core.Default()

@@ -75,7 +75,7 @@ func BenchmarkServeMixed(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	lat := srv.LatencySummary()
-	b.ReportMetric(lat.P50*1e6, "p50_us")
-	b.ReportMetric(lat.P95*1e6, "p95_us")
-	b.ReportMetric(lat.P99*1e6, "p99_us")
+	b.ReportMetric(lat.P50*1e6, "model_p50_us")
+	b.ReportMetric(lat.P95*1e6, "model_p95_us")
+	b.ReportMetric(lat.P99*1e6, "model_p99_us")
 }

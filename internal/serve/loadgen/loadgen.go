@@ -7,7 +7,7 @@
 // /metrics exposition it ends with is byte-identical across runs and across
 // server worker counts — the serving stack's analogue of the repository's
 // worker-count-invariance contract, and the property the golden test and
-// `make bench-serve` gate.
+// the serve leg of `make bench-gate` hold.
 package loadgen
 
 import (
