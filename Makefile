@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race audit clockgate randgate experiments regress bench bench-harness bench-gate bench-record artifacts examples outputs clean
+.PHONY: all build vet test race audit clockgate randgate experiments regress fuzz bench bench-harness bench-gate bench-record artifacts examples outputs clean
 
 # audit (vet + race + clock gate + rand gate) is part of all: the parallel
 # substrate (internal/par) and every hot path wired onto it must stay clean
@@ -79,6 +79,20 @@ experiments:
 # on any material drift (artifact bytes, metrics, fingerprint, seeds).
 regress:
 	$(GO) run ./cmd/runpack regress -workers 1,4,8 goldens/runpacks
+
+# Native fuzzing, outside all: every Fuzz* target in the tree for 30 s each.
+# go test -list finds the targets, so a new one needs no edit here; their
+# seed corpora under testdata/fuzz/ already run on every go test.
+fuzz:
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" \
+	  | awk '/^Fuzz/ { t = t " " $$1; next } /^ok/ { if (t != "") print $$2 t; t = "" }' \
+	  | while read -r pkg targets; do \
+	      for target in $$targets; do \
+	        echo "== fuzz $$pkg $$target"; \
+	        $(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 30s $$pkg || exit 1; \
+	      done; \
+	    done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

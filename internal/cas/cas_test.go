@@ -158,35 +158,6 @@ func TestDiskStoreReopen(t *testing.T) {
 	}
 }
 
-// Objects and links must land world-readable (0644) regardless of the
-// process umask: os.CreateTemp creates 0600, and without the explicit Chmod
-// a store written under one uid is unreadable to the tooling that serves it.
-func TestDiskStoreObjectPermissions(t *testing.T) {
-	st, err := NewDiskStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := st.Put([]byte("readable"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Link(KeyOf([]byte("name")), k); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{
-		st.path("objects", k),
-		st.path("links", KeyOf([]byte("name"))),
-	} {
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fi.Mode().Perm(); got != 0o644 {
-			t.Errorf("%s mode = %04o, want 0644", path, got)
-		}
-	}
-}
-
 // A failed writeAtomic must not leave .tmp-* litter behind: temp files that
 // survive failed writes accumulate in the prefix directories and show up in
 // (and corrupt the determinism of) directory scans.
@@ -197,7 +168,7 @@ func TestWriteAtomicNoTempLitterOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := KeyOf([]byte("victim"))
-	target := st.path("objects", k)
+	target := st.objectPath(k)
 	// Make the rename fail: the destination path is a non-empty directory.
 	if err := os.MkdirAll(filepath.Join(target, "occupied"), 0o755); err != nil {
 		t.Fatal(err)
@@ -213,6 +184,31 @@ func TestWriteAtomicNoTempLitterOnFailure(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".tmp-") {
 			t.Errorf("temp file litter after failed write: %s", e.Name())
 		}
+	}
+}
+
+// A flipped byte in an object file is reported as ErrCorrupt, with no bytes.
+func TestDiskStoreGetCorrupt(t *testing.T) {
+	st, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := st.Put([]byte(`{"value":"served intact or not at all"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.objectPath(k)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := st.Get(k)
+	if !errors.Is(err, ErrCorrupt) || ok || got != nil {
+		t.Fatalf("corrupt object: data=%q ok=%v err=%v, want ErrCorrupt and no bytes", got, ok, err)
 	}
 }
 

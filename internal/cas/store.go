@@ -20,10 +20,15 @@
 package cas
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -191,34 +196,122 @@ func sortedKeys[V any](m map[Key]V) []Key {
 	return out
 }
 
+// ErrCorrupt reports a stored object whose bytes no longer hash to its key.
+// DiskStore.Get returns it, wrapped, in place of the bytes, so a flipped bit
+// on disk is never served as the artifact its key names.
+var ErrCorrupt = errors.New("cas: corrupt object")
+
 // DiskStore is the on-disk Store backend. Layout under the base directory:
 //
 //	objects/<first 2 hex>/<remaining 62 hex>   blob bytes
-//	links/<first 2 hex>/<remaining 62 hex>     target key (64 hex bytes)
+//	links.log                                  link records, append-only
 //
-// Writes go through a temp file + rename in the same directory, so a
+// Objects go through a temp file + rename in the same directory, so a
 // crashed writer never leaves a truncated object behind, and concurrent
 // writers of the same content converge on identical bytes.
+//
+// The link table is held in memory: NewDiskStore replays links.log into it,
+// so Resolve and Links never touch the disk, and Link appends one record
+// (see linkRecord), fsyncs the log and only then updates the table. A store
+// sees the links other processes append when it is opened, not afterwards.
+// A link it misses is a memo miss, never a wrong result.
 type DiskStore struct {
 	base string
-	mu   sync.Mutex // serializes link overwrites; object writes are idempotent
+
+	// wmu is held across one log write, so the log's record order is seq
+	// order. Readers take mu instead and never wait on a syscall.
+	wmu sync.Mutex
+	seq uint64 // records this store has appended; guarded by wmu
+
+	mu    sync.RWMutex // guards links
+	links map[Key]linkEntry
 }
 
-// NewDiskStore opens (creating if needed) a disk store rooted at dir.
+// linkEntry is one row of the link table: the target, and the seq of the
+// record that set it (0 when replayed at open). The seq stops a Link whose
+// fsync finishes late from overwriting a record appended after its own.
+type linkEntry struct {
+	target Key
+	seq    uint64
+}
+
+// linkLog is the link log's file name under the base directory.
+const linkLog = "links.log"
+
+// NewDiskStore opens a disk store rooted at dir. It creates dir when it is
+// missing and nothing else: the first Put creates objects/ and the first
+// Link creates links.log, so opening a store only to read it (a runpack
+// being verified) leaves it unchanged. A links/ directory of per-link files
+// written by older versions is not read.
 func NewDiskStore(dir string) (*DiskStore, error) {
-	for _, sub := range []string{"objects", "links"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("cas: creating store dir: %w", err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("cas: creating store dir: %w", err)
 	}
-	return &DiskStore{base: dir}, nil
+	log, err := os.ReadFile(filepath.Join(dir, linkLog))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("cas: reading link log: %w", err)
+	}
+	d := &DiskStore{base: dir, links: map[Key]linkEntry{}}
+	replayLinks(log, d.links)
+	return d, nil
 }
 
 // Dir returns the store's base directory.
 func (d *DiskStore) Dir() string { return d.base }
 
-func (d *DiskStore) path(kind string, k Key) string {
-	return filepath.Join(d.base, kind, string(k[:2]), string(k[2:]))
+func (d *DiskStore) objectPath(k Key) string {
+	return filepath.Join(d.base, "objects", string(k[:2]), string(k[2:]))
+}
+
+// A link record is one line, framed by a newline on each side:
+//
+//	\n<name> <target> <crc>\n
+//
+// where <crc> is the CRC-32 (IEEE) of "<name> <target>" as 8 lowercase hex
+// digits. The leading newline ends any torn line a crashed writer left
+// before the record, and the trailing one ends the record itself, so damage
+// inside one record never reaches its neighbours.
+const linkBodyLen = 64 + 1 + 64 // "<name> <target>"
+
+// linkRecord encodes the log record of one Link.
+func linkRecord(name, target Key) []byte {
+	body := string(name) + " " + string(target)
+	sum := linkCRC([]byte(body))
+	return []byte("\n" + body + " " + string(sum[:]) + "\n")
+}
+
+// linkCRC is the <crc> field for a record body.
+func linkCRC(body []byte) [8]byte {
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(body))
+	var out [8]byte
+	hex.Encode(out[:], sum[:])
+	return out
+}
+
+// parseLinkLine decodes one log line, without its newline. ok is false
+// unless the line is exactly a record: two valid keys and the CRC of the
+// body, in full.
+func parseLinkLine(line []byte) (name, target Key, ok bool) {
+	if len(line) <= linkBodyLen || line[64] != ' ' || line[linkBodyLen] != ' ' {
+		return "", "", false
+	}
+	if sum := linkCRC(line[:linkBodyLen]); !bytes.Equal(line[linkBodyLen+1:], sum[:]) {
+		return "", "", false
+	}
+	name, target = Key(line[:64]), Key(line[65:linkBodyLen])
+	return name, target, name.Valid() && target.Valid()
+}
+
+// replayLinks folds a link log into links in log order, so the last record
+// of a name wins. A line that is not a record (a torn tail, a flipped byte,
+// anything else) is skipped: replay cannot fail on log content.
+func replayLinks(log []byte, links map[Key]linkEntry) {
+	for _, line := range bytes.Split(log, []byte{'\n'}) {
+		if name, target, ok := parseLinkLine(line); ok {
+			links[name] = linkEntry{target: target}
+		}
+	}
 }
 
 // writeAtomic writes data to path via temp file + rename, durably: the temp
@@ -280,7 +373,7 @@ func syncDir(dir string) error {
 // Put implements Store.
 func (d *DiskStore) Put(data []byte) (Key, error) {
 	k := KeyOf(data)
-	path := d.path("objects", k)
+	path := d.objectPath(k)
 	if _, err := os.Stat(path); err == nil {
 		return k, nil // dedup: content already present
 	}
@@ -290,54 +383,117 @@ func (d *DiskStore) Put(data []byte) (Key, error) {
 	return k, nil
 }
 
-// Get implements Store.
+// Get implements Store. It re-hashes the bytes it reads: an object that no
+// longer matches its key is an ErrCorrupt error, and no bytes.
 func (d *DiskStore) Get(k Key) ([]byte, bool, error) {
 	if !k.Valid() {
 		return nil, false, fmt.Errorf("cas: malformed key %q", k)
 	}
-	data, err := os.ReadFile(d.path("objects", k))
-	if os.IsNotExist(err) {
+	data, err := os.ReadFile(d.objectPath(k))
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("cas: reading object %s: %w", k.Short(), err)
 	}
+	if KeyOf(data) != k {
+		return nil, false, fmt.Errorf("%w %s: its bytes no longer hash to its key", ErrCorrupt, k.Short())
+	}
 	return data, true, nil
 }
 
-// Link implements Store.
+// Link implements Store. The record reaches links.log in one write on an
+// O_APPEND descriptor and is fsynced before the table changes, so a Link
+// that returned nil survives a crash and Resolve never answers from a
+// record the log could still lose. Only the write is serialized: the fsyncs
+// of concurrent Links overlap.
 func (d *DiskStore) Link(name, target Key) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.writeAtomic(d.path("links", name), []byte(target)); err != nil {
+	if !name.Valid() || !target.Valid() {
+		return fmt.Errorf("cas: malformed link %q -> %q", name, target)
+	}
+	seq, err := d.appendLink(linkRecord(name, target))
+	if err != nil {
 		return fmt.Errorf("cas: writing link %s: %w", name.Short(), err)
 	}
+	d.mu.Lock()
+	if cur, ok := d.links[name]; !ok || cur.seq < seq {
+		d.links[name] = linkEntry{target: target, seq: seq}
+	}
+	d.mu.Unlock()
 	return nil
 }
 
-// Resolve implements Store.
+// appendLink appends rec to the link log, durably, and returns its seq.
+func (d *DiskStore) appendLink(rec []byte) (uint64, error) {
+	f, err := d.openLog()
+	if err != nil {
+		return 0, err
+	}
+	d.wmu.Lock()
+	_, err = f.Write(rec)
+	d.seq++
+	seq := d.seq
+	d.wmu.Unlock()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return seq, err
+}
+
+// openLog opens links.log for appending. The Link that finds no log creates
+// it, 0644 whatever the umask, and fsyncs the base directory while holding
+// wmu, so no record is written before the log's own name is durable.
+func (d *DiskStore) openLog() (*os.File, error) {
+	path := filepath.Join(d.base, linkLog)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return f, err
+	}
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := syncDir(d.base); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// Resolve implements Store, from the in-memory table.
 func (d *DiskStore) Resolve(name Key) (Key, bool, error) {
 	if !name.Valid() {
 		return "", false, fmt.Errorf("cas: malformed key %q", name)
 	}
-	data, err := os.ReadFile(d.path("links", name))
-	if os.IsNotExist(err) {
-		return "", false, nil
-	}
-	if err != nil {
-		return "", false, fmt.Errorf("cas: reading link %s: %w", name.Short(), err)
-	}
-	k := Key(data)
-	if !k.Valid() {
-		return "", false, fmt.Errorf("cas: link %s holds malformed target %q", name.Short(), data)
-	}
-	return k, true, nil
+	d.mu.RLock()
+	e, ok := d.links[name]
+	d.mu.RUnlock()
+	return e.target, ok, nil
 }
 
-// scan walks one kind directory and returns the keys, sorted.
-func (d *DiskStore) scan(kind string) ([]Key, error) {
-	root := filepath.Join(d.base, kind)
+// Links implements Store.
+func (d *DiskStore) Links() ([]Key, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return sortedKeys(d.links), nil
+}
+
+// Keys implements Store: a walk of the objects tree, sorted.
+func (d *DiskStore) Keys() ([]Key, error) {
+	root := filepath.Join(d.base, "objects")
 	prefixes, err := os.ReadDir(root)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil // nothing Put yet
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -361,21 +517,15 @@ func (d *DiskStore) scan(kind string) ([]Key, error) {
 	return out, nil
 }
 
-// Keys implements Store.
-func (d *DiskStore) Keys() ([]Key, error) { return d.scan("objects") }
-
-// Links implements Store.
-func (d *DiskStore) Links() ([]Key, error) { return d.scan("links") }
-
 // Bytes implements Store.
 func (d *DiskStore) Bytes() (int64, error) {
-	keys, err := d.scan("objects")
+	keys, err := d.Keys()
 	if err != nil {
 		return 0, err
 	}
 	var total int64
 	for _, k := range keys {
-		fi, err := os.Stat(d.path("objects", k))
+		fi, err := os.Stat(d.objectPath(k))
 		if err != nil {
 			return 0, err
 		}

@@ -3,6 +3,8 @@ package exp
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -208,6 +210,48 @@ func TestRegistryMemoKeyCoversSeed(t *testing.T) {
 	}
 	if executed != 2 {
 		t.Fatal("same-seed rerun executed the body instead of hitting the cache")
+	}
+}
+
+// A memoized result whose blob was flipped on disk fails the run with
+// cas.ErrCorrupt: it is neither decoded and served nor silently re-run.
+func TestRegistryRunCorruptBlob(t *testing.T) {
+	r := NewRegistry()
+	executed := 0
+	r.MustRegister(Experiment{
+		Spec: Spec{Name: "stored"},
+		Run: func(ctx context.Context, env *Env, spec Spec) (*Result, error) {
+			executed++
+			return &Result{Artifacts: map[string]string{"v": "bytes on disk"}}, nil
+		},
+	})
+	dir := t.TempDir()
+	store, err := cas.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background(), &Env{Seed: 1, Store: store}, "stored"); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := store.Keys()
+	if err != nil || len(keys) != 1 {
+		t.Fatalf("stored objects %v, err %v; want the one result", keys, err)
+	}
+	path := filepath.Join(dir, "objects", string(keys[0][:2]), string(keys[0][2:]))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run(context.Background(), &Env{Seed: 1, Store: store}, "stored")
+	if !errors.Is(err, cas.ErrCorrupt) || res != nil {
+		t.Fatalf("run over a corrupt blob: res %v, err %v; want cas.ErrCorrupt", res, err)
+	}
+	if executed != 1 {
+		t.Fatalf("executed %d bodies, want 1", executed)
 	}
 }
 

@@ -28,6 +28,7 @@ package runpack
 import (
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -170,7 +171,9 @@ func (p *Pack) WriteDir(dir string) error {
 
 // ReadDir loads a pack written by WriteDir. Blobs are looked up by the
 // digests the manifest claims; a missing blob is not an error here — Verify
-// reports it as ErrArtifactMissing, keeping read and check separable.
+// reports it as ErrArtifactMissing, keeping read and check separable. A blob
+// whose bytes no longer match its digest (cas.ErrCorrupt) counts as missing.
+// Reading writes nothing into dir.
 func ReadDir(dir string) (*Pack, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -199,7 +202,7 @@ func ReadDir(dir string) (*Pack, error) {
 			continue // Verify reports the malformed digest
 		}
 		body, ok, err := store.Get(k)
-		if err != nil {
+		if err != nil && !errors.Is(err, cas.ErrCorrupt) {
 			return nil, fmt.Errorf("runpack: reading blob %q: %w", ref.Name, err)
 		}
 		if ok {

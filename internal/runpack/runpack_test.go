@@ -3,6 +3,7 @@ package runpack
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,6 +225,64 @@ func TestWriteReadDirRoundTrip(t *testing.T) {
 	if !errors.Is(err, ErrArtifactMissing) && !errors.Is(err, ErrArtifactDigest) {
 		t.Fatalf("on-disk blob tamper: want artifact error, got %v", err)
 	}
+}
+
+// Reading and verifying a pack writes nothing into it: a committed golden
+// stays byte-for-byte what git checked out, and a read-only copy verifies.
+func TestReadDirVerifyLeavesPackUnchanged(t *testing.T) {
+	golden := filepath.Join("..", "..", "goldens", "runpacks", "continuum__io")
+	dir := t.TempDir()
+	err := filepath.WalkDir(golden, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(golden, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := treeListing(t, dir)
+	p, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := DevKey()
+	if err := p.Verify(VerifyOpts{Key: &key}); err != nil {
+		t.Fatalf("golden copy fails verify: %v", err)
+	}
+	if after := treeListing(t, dir); after != before {
+		t.Fatalf("ReadDir+Verify changed the pack:\nbefore:\n%safter:\n%s", before, after)
+	}
+}
+
+// treeListing is the recursive listing of dir: every path with its mode and size.
+func treeListing(t *testing.T, dir string) string {
+	t.Helper()
+	var sb strings.Builder
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		fi, err := d.Info()
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		fmt.Fprintf(&sb, "%s %v %d\n", rel, fi.Mode(), fi.Size())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }
 
 func TestBundleRoundTripAndOfflineVerify(t *testing.T) {

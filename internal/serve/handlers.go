@@ -235,7 +235,9 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.Inc("serve.artifact.bytes", int64(len(data)))
 	// The link target is the blob's content address, so the digest header
-	// costs no hashing — and lets a client integrity-check the body offline.
+	// lets a client integrity-check the body offline. A DiskStore re-hashes
+	// what it reads: bytes that no longer match are the 500 above, never a
+	// body under this header.
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("X-Content-Digest", "sha256:"+string(target))
 	w.Write(data)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/clock"
 	"repro/internal/exp"
+	"repro/internal/runpack"
 )
 
 // synth returns a small deterministic experiment: rows of seeded random
@@ -337,30 +340,57 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // A daemon restarted over a warm store completes every submission without
-// executing a single experiment body: results come back as exp.hits, and
-// artifact bytes are identical to the cold run's.
+// executing a single experiment body: results come back as exp.hits,
+// artifact bytes are identical to the cold run's, and so is every material
+// field of the runpacks (the cache-state provenance differs by design). The
+// disk case opens the store afresh from its directory for the warm server,
+// which therefore starts from the replayed link log.
 func TestWarmRestartExecutesZeroBodies(t *testing.T) {
-	store := cas.NewMemStore()
+	mem, dir := cas.NewMemStore(), t.TempDir()
+	for _, tc := range []struct {
+		name string
+		open func() (cas.Store, error) // once per server
+	}{
+		{"mem", func() (cas.Store, error) { return mem, nil }},
+		{"disk", func() (cas.Store, error) { return cas.NewDiskStore(dir) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { warmRestart(t, tc.open) })
+	}
+}
+
+func warmRestart(t *testing.T, open func() (cas.Store, error)) {
 	var executed atomic.Int64
 	names := []string{"synth/a", "synth/b", "synth/c"}
+	fetch := func(srv *Server, id, what string) string {
+		t.Helper()
+		w := do(srv, http.MethodGet, "/experiments/"+id+"/"+what, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s of %s = %d", what, id, w.Code)
+		}
+		return w.Body.String()
+	}
+	server := func() *Server {
+		store, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newTestServer(t, Config{Registry: synthRegistry(t, &executed, names...), Store: store, Seed: 3})
+	}
 
-	cold := newTestServer(t, Config{Registry: synthRegistry(t, &executed, names...), Store: store, Seed: 3})
-	artifacts := map[string]string{}
+	cold := server()
+	artifacts, packs := map[string]string{}, map[string]string{}
 	for _, n := range names {
 		st := decodeStatus(t, do(cold, http.MethodPost, "/experiments", fmt.Sprintf(`{"name":%q}`, n)))
 		cold.Wait()
-		w := do(cold, http.MethodGet, "/experiments/"+st.ID+"/artifacts/table.csv", "")
-		if w.Code != http.StatusOK {
-			t.Fatalf("cold artifact %s = %d", n, w.Code)
-		}
-		artifacts[n] = w.Body.String()
+		artifacts[n] = fetch(cold, st.ID, "artifacts/table.csv")
+		packs[n] = fetch(cold, st.ID, "runpack")
 	}
 	if executed.Load() != 3 {
 		t.Fatalf("cold run executed %d bodies", executed.Load())
 	}
 	cold.Close()
 
-	warm := newTestServer(t, Config{Registry: synthRegistry(t, &executed, names...), Store: store, Seed: 3})
+	warm := server()
 	for _, n := range names {
 		w := do(warm, http.MethodPost, "/experiments", fmt.Sprintf(`{"name":%q}`, n))
 		if w.Code != http.StatusAccepted {
@@ -380,10 +410,56 @@ func TestWarmRestartExecutesZeroBodies(t *testing.T) {
 		if !st.Cached || st.State != StateDone {
 			t.Fatalf("warm status %s = %+v", n, st)
 		}
-		w := do(warm, http.MethodGet, "/experiments/"+st.ID+"/artifacts/table.csv", "")
-		if w.Body.String() != artifacts[n] {
+		if fetch(warm, st.ID, "artifacts/table.csv") != artifacts[n] {
 			t.Fatalf("warm artifact %s differs from cold run", n)
 		}
+		coldPack, err := runpack.DecodeBundle([]byte(packs[n]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmPack, err := runpack.DecodeBundle([]byte(fetch(warm, st.ID, "runpack")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := runpack.Diff(coldPack, warmPack); d.Material {
+			t.Fatalf("warm runpack %s drifted from cold:\n%s", n, d.Text())
+		}
+	}
+}
+
+// A flipped byte in a stored artifact answers 500: the bytes are never
+// served under the digest header that names them.
+func TestArtifactCorruptOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	store, err := cas.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, Config{Registry: synthRegistry(t, nil, "synth/a"), Store: store})
+	st := decodeStatus(t, do(srv, http.MethodPost, "/experiments", `{"name":"synth/a"}`))
+	srv.Wait()
+	path := "/experiments/" + st.ID + "/artifacts/table.csv"
+	w := do(srv, http.MethodGet, path, "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("fetch before the flip = %d", w.Code)
+	}
+	body, k := w.Body.String(), cas.KeyOf(w.Body.Bytes())
+	object := filepath.Join(dir, "objects", string(k[:2]), string(k[2:]))
+	data, err := os.ReadFile(object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(object, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w = do(srv, http.MethodGet, path, "")
+	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "corrupt") ||
+		w.Header().Get("X-Content-Digest") != "" {
+		t.Fatalf("corrupt artifact: %d %q digest=%q, want a 500", w.Code, w.Body.String(), w.Header().Get("X-Content-Digest"))
+	}
+	if strings.Contains(w.Body.String(), body[:len(body)/2]) {
+		t.Fatal("500 body carries the artifact bytes")
 	}
 }
 
