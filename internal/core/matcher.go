@@ -1,31 +1,37 @@
 package core
 
 // The compiled keyword automaton: the classification hot path rebuilt for
-// million-entry corpora (ISSUE 9, ROADMAP "Corpus at scale").
+// million-entry corpora (ROADMAP "Corpus at scale").
 //
 // The seed classifier ran O(directions × keywords) strings.Contains scans
 // per document and allocated two maps plus matched-keyword slices per call.
 // At 25 tools that is invisible; at 10^7 synthetic tool descriptions it is
 // the whole budget. This file compiles directionKeywords once into an
-// Aho-Corasick automaton (Aho & Corasick, CACM 1975) lowered to a dense
-// byte-level DFA: classification is then a single left-to-right pass over
-// the text — one table lookup per input byte — that discovers every keyword
-// occurrence of every direction simultaneously, with zero steady-state
-// allocations when driven through a reusable ClassifyScratch.
+// Aho-Corasick automaton (Aho & Corasick, CACM 1975), then folds the
+// reference normalization into it: the scan walks a product automaton whose
+// states pair an automaton state with a whitespace mode, over a compact
+// alphabet of byte classes. Classification is a single left-to-right pass —
+// one class lookup and one table load per input byte, with no per-byte
+// branch on case or whitespace — that discovers every keyword occurrence of
+// every direction at once, with zero steady-state allocations when driven
+// through a reusable ClassifyScratch.
 //
-// Normalization is fused into the scan. The reference semantics match on
-// normalize(desc) = strings.Join(strings.Fields(strings.ToLower(desc)), " ");
-// for pure-ASCII input (every generated corpus entry and all but the
-// pathological catalog descriptions) the scanner lowercases and collapses
-// whitespace on the fly, byte for byte identical to the reference, without
-// materializing the normalized string. Non-ASCII input falls back to
-// normalizing first — correctness is pinned by the equivalence tests, which
-// drive both paths against the strings.Contains reference.
+// The reference semantics match on
+// normalize(desc) = strings.Join(strings.Fields(strings.ToLower(desc)), " ").
+// For pure-ASCII input (every generated corpus entry and all but the
+// pathological catalog descriptions) the product automaton lowercases and
+// collapses whitespace as it walks, byte for byte identical to the
+// reference, without materializing the normalized string. Non-ASCII input
+// falls back to normalizing first and walking the same table — correctness
+// is pinned by the equivalence tests and FuzzClassify, which drive both
+// paths against the strings.Contains reference.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -43,21 +49,53 @@ type pattern struct {
 	kw     string
 }
 
+// The fixed columns of the product table. Every byte that occurs in a
+// keyword, other than ' ', gets a column of its own after these.
+const (
+	colOther    = iota // a byte no keyword contains
+	colSpace           // ASCII whitespace; the ' ' inside multi-word keywords
+	colNonASCII        // a byte >= 0x80 on the first pass, which ends it
+	numFixedCols
+)
+
+// nonASCII is every row's entry in column colNonASCII. It is negative like
+// a recognizing entry, and distinct from all of them: those are ^offset,
+// with offsets far below MaxInt32.
+const nonASCII = math.MinInt32
+
 // Classifier is the compiled keyword automaton. Build it once (Compiled
 // returns the process-wide instance over directionKeywords); Classify* calls
 // are safe for concurrent use because matching only reads the tables —
 // all per-call state lives in the caller's ClassifyScratch.
 type Classifier struct {
-	// next is the dense DFA: next[state*256+b] is the successor of state on
-	// input byte b, with goto and failure transitions pre-resolved so the
-	// scan never chases fail links.
-	next []int32
-	// outStart[s]..outStart[s+1] indexes outPat: the patterns recognized
-	// when the scan stands in state s (own matches plus every suffix match
+	// delta is the product automaton: one row of 1<<shift entries per
+	// state, one entry per byte class. Rows 0..n-1 are word rows: word row
+	// q is entered on a non-space byte that leaves the Aho-Corasick
+	// automaton in state q. The rows after them are pending rows, one per
+	// state p that a ' ' transition reaches: the scan stands in one during
+	// a whitespace run, with the run already taken as that single ' '. A
+	// non-space byte leaves a pending row by its own transition, so the
+	// ' ' and the byte after it cost one entry together. An entry is the
+	// premultiplied offset of its target row, complemented (so negative)
+	// when the target recognizes a pattern, or nonASCII.
+	delta []int32
+	shift uint
+	// start is the offset of the row before the first word: the pending
+	// row of the root, so leading whitespace is dropped.
+	start int32
+	// rawClass maps an input byte to its column: A-Z fold onto a-z, all
+	// ASCII whitespace shares colSpace and every byte >= 0x80 ends the
+	// pass. normClass maps normalize's output, in which a byte >= 0x80 is
+	// text like any other.
+	rawClass, normClass [256]uint8
+	// outStart[q]..outStart[q+1] indexes outPat: the patterns recognized
+	// on entering word row q (own matches plus every suffix match
 	// inherited through the failure chain).
 	outStart []int32
 	outPat   []int32
 	pats     []pattern
+	// fingerprint is SchemeFingerprint's value, hashed once at build.
+	fingerprint string
 }
 
 // ClassifyScratch carries the per-call state of the zero-allocation
@@ -100,76 +138,146 @@ func (s *ClassifyScratch) begin(c *Classifier) {
 // Construction order is deterministic: directions in canonical order,
 // keywords sorted within each direction, so pattern IDs — and therefore
 // every downstream artifact — never depend on map iteration order.
+//
+// Every keyword must be non-empty and already normalized, which rules out
+// whitespace at either end. The scan never stops in the state a ' '
+// transition reaches, so a keyword ending in whitespace would be missed;
+// buildClassifier panics on one rather than compile a wrong table.
 func buildClassifier(scheme map[catalog.Direction]map[string]float64) *Classifier {
 	c := &Classifier{}
+	h := sha256.New()
 	for di, dir := range catalog.Directions() {
 		kws := make([]string, 0, len(scheme[dir]))
 		for kw := range scheme[dir] {
+			if kw == "" || normalize(kw) != kw {
+				panic(fmt.Sprintf("core: keyword %q is empty or not normalized", kw))
+			}
 			kws = append(kws, kw)
 		}
 		sort.Strings(kws)
 		for _, kw := range kws {
-			c.pats = append(c.pats, pattern{dir: int8(di), weight: scheme[dir][kw], kw: kw})
+			p := pattern{dir: int8(di), weight: scheme[dir][kw], kw: kw}
+			c.pats = append(c.pats, p)
+			fmt.Fprintf(h, "%d:%s:%g\n", p.dir, p.kw, p.weight)
 		}
 	}
+	c.fingerprint = hex.EncodeToString(h.Sum(nil))
 
-	// Trie of all patterns over the byte alphabet.
-	type node struct {
-		child [256]int32 // 0 = absent (state 0 is the root, never a child)
-		fail  int32
-		own   []int32 // pattern IDs ending exactly here
-	}
-	nodes := []*node{new(node)}
-	for pid, p := range c.pats {
-		s := int32(0)
+	// Byte classes: the keyword alphabet, numbered after the fixed columns.
+	// Normalized keywords hold neither A-Z nor whitespace other than ' ',
+	// so at most 224 bytes need a column and a uint8 holds every one.
+	var col [256]uint8
+	col[' '] = colSpace
+	ncols := numFixedCols
+	for _, p := range c.pats {
 		for i := 0; i < len(p.kw); i++ {
-			b := p.kw[i]
-			if nodes[s].child[b] == 0 {
-				nodes = append(nodes, new(node))
-				nodes[s].child[b] = int32(len(nodes) - 1)
+			if b := p.kw[i]; col[b] == colOther {
+				col[b] = uint8(ncols)
+				ncols++
 			}
-			s = nodes[s].child[b]
 		}
-		nodes[s].own = append(nodes[s].own, int32(pid))
+	}
+	// An ASCII byte maps by the reference normalization applied to it
+	// alone: to colSpace if normalize deletes it, else to the column of
+	// the byte it becomes.
+	for b := 0; b < 0x80; b++ {
+		if lb := normalize(string(rune(b))); lb == "" {
+			c.rawClass[b] = colSpace
+		} else {
+			c.rawClass[b] = col[lb[0]]
+		}
+		c.normClass[b] = c.rawClass[b]
+	}
+	for b := 0x80; b < 256; b++ {
+		c.rawClass[b], c.normClass[b] = colNonASCII, col[b]
 	}
 
-	// BFS: failure links, inherited outputs, and the dense goto/fail-resolved
-	// transition table in one pass (fail(v) is always closer to the root, so
-	// its row and output list are complete before v is processed).
-	c.next = make([]int32, len(nodes)*256)
-	outs := make([][]int32, len(nodes))
-	queue := make([]int32, 0, len(nodes))
-	root := nodes[0]
-	for b := 0; b < 256; b++ {
-		if ch := root.child[b]; ch != 0 {
-			nodes[ch].fail = 0
+	// The Aho-Corasick automaton over the classes, in a flat table of ncols
+	// entries per state. The trie comes first (0 = no child; the root,
+	// state 0, is never a child), then a BFS resolves failure transitions
+	// in place and inherits outputs: fail(v) is always closer to the root,
+	// so its row and output list are complete before v is processed.
+	next := make([]int32, ncols)
+	own := [][]int32{nil}
+	for pid, p := range c.pats {
+		s := 0
+		for i := 0; i < len(p.kw); i++ {
+			k := s*ncols + int(col[p.kw[i]])
+			if next[k] == 0 {
+				next[k] = int32(len(own))
+				own = append(own, nil)
+				next = append(next, make([]int32, ncols)...)
+			}
+			s = int(next[k])
+		}
+		own[s] = append(own[s], int32(pid))
+	}
+	n := len(own)
+	fail := make([]int32, n)
+	outs := make([][]int32, n)
+	queue := make([]int32, 0, n)
+	for k := 0; k < ncols; k++ {
+		if ch := next[k]; ch != 0 {
 			queue = append(queue, ch)
 		}
-		c.next[b] = root.child[b] // root row: absent transitions stay at root
 	}
-	outs[0] = root.own
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
-		f := nodes[v].fail
-		outs[v] = append(append([]int32{}, nodes[v].own...), outs[f]...)
-		row := v * 256
-		frow := f * 256
-		for b := 0; b < 256; b++ {
-			if ch := nodes[v].child[b]; ch != 0 {
-				nodes[ch].fail = c.next[frow+int32(b)]
+		f := fail[v]
+		outs[v] = append(append([]int32{}, own[v]...), outs[f]...)
+		for k := 0; k < ncols; k++ {
+			i, fi := int(v)*ncols+k, int(f)*ncols+k
+			if ch := next[i]; ch != 0 {
+				fail[ch] = next[fi]
 				queue = append(queue, ch)
-				c.next[row+int32(b)] = ch
 			} else {
-				c.next[row+int32(b)] = c.next[frow+int32(b)]
+				next[i] = next[fi]
 			}
 		}
 	}
-
-	// Flatten the per-state output lists.
-	c.outStart = make([]int32, len(nodes)+1)
-	for s, o := range outs {
-		c.outStart[s+1] = c.outStart[s] + int32(len(o))
+	c.outStart = make([]int32, n+1)
+	for q, o := range outs {
+		c.outStart[q+1] = c.outStart[q] + int32(len(o))
 		c.outPat = append(c.outPat, o...)
+	}
+
+	// The product table. Pending rows follow the n word rows: the root's
+	// first, then one per other state a ' ' transition reaches.
+	pendRow := make([]int32, n) // 0 = no pending row (row 0 is a word row)
+	pending := []int32{0}
+	pendRow[0] = int32(n)
+	for q := 0; q < n; q++ {
+		if p := next[q*ncols+colSpace]; pendRow[p] == 0 {
+			pendRow[p] = int32(n + len(pending))
+			pending = append(pending, p)
+		}
+	}
+	c.shift = uint(bits.Len(uint(ncols - 1)))
+	c.delta = make([]int32, (n+len(pending))<<c.shift)
+	c.start = pendRow[0] << c.shift
+	for r := range n + len(pending) {
+		// Whitespace moves a word row to the pending row after its ' '
+		// transition and leaves a pending row where it is.
+		q, ws := int32(r), int32(r)
+		if r < n {
+			ws = pendRow[next[r*ncols+colSpace]]
+		} else {
+			q = pending[r-n]
+		}
+		row := c.delta[r<<c.shift : r<<c.shift+ncols]
+		for k := range row {
+			switch k {
+			case colSpace:
+				row[k] = ws << c.shift
+			case colNonASCII:
+				row[k] = nonASCII
+			default:
+				t := next[int(q)*ncols+k]
+				if row[k] = t << c.shift; c.outStart[t+1] > c.outStart[t] {
+					row[k] = ^row[k]
+				}
+			}
+		}
 	}
 	return c
 }
@@ -186,71 +294,60 @@ func Compiled() *Classifier {
 	return compiled
 }
 
-// isASCIISpace reports the bytes strings.Fields splits on in ASCII text.
-func isASCIISpace(b byte) bool {
-	return b == ' ' || b == '\t' || b == '\n' || b == '\v' || b == '\f' || b == '\r'
-}
-
-// lowerASCII folds A-Z onto a-z, leaving every other byte alone — exactly
-// strings.ToLower restricted to ASCII input.
-func lowerASCII(b byte) byte {
-	if 'A' <= b && b <= 'Z' {
-		return b + ('a' - 'A')
+// scan walks text through the product automaton from the start row,
+// mapping bytes to columns through class, and records every pattern hit in
+// s. It reports false, part way, when it meets a byte whose column is
+// colNonASCII. The offset is a uint32 so that indexing needs no sign
+// extension between the add and the load.
+func scan[T string | []byte](c *Classifier, text T, class *[256]uint8, s *ClassifyScratch) bool {
+	delta := c.delta
+	off := uint32(c.start)
+	for i := 0; i < len(text); i++ {
+		e := delta[off+uint32(class[text[i]])]
+		if e < 0 {
+			if e == nonASCII {
+				return false
+			}
+			e = ^e
+			c.hit(e, s)
+		}
+		off = uint32(e)
 	}
-	return b
+	return true
 }
 
-// step advances the DFA by one byte and records any pattern hits.
-func (c *Classifier) step(state int32, b byte, s *ClassifyScratch) int32 {
-	state = c.next[state*256+int32(b)]
-	for i := c.outStart[state]; i < c.outStart[state+1]; i++ {
-		pid := c.outPat[i]
+// hit records the patterns recognized on entering the word row at offset
+// off, in output order, each once per document.
+func (c *Classifier) hit(off int32, s *ClassifyScratch) {
+	q := off >> c.shift
+	for _, pid := range c.outPat[c.outStart[q]:c.outStart[q+1]] {
 		if s.seen[pid] != s.epoch {
 			s.seen[pid] = s.epoch
 			s.fired = append(s.fired, pid)
 			s.Scores[c.pats[pid].dir] += c.pats[pid].weight
 		}
 	}
-	return state
 }
 
-// scanASCII runs the fused normalize-and-match pass over pure-ASCII text:
-// whitespace runs collapse to a single separating space (leading and
-// trailing runs vanish), uppercase folds to lowercase, and every
-// transformed byte advances the DFA. It reports false without completing
-// when it meets a non-ASCII byte.
-func (c *Classifier) scanASCII(text string, s *ClassifyScratch) bool {
-	state := int32(0)
-	pendingSpace := false
-	inWord := false
-	for i := 0; i < len(text); i++ {
-		b := text[i]
-		if b >= 0x80 {
-			return false
-		}
-		if isASCIISpace(b) {
-			if inWord {
-				pendingSpace = true
-			}
-			continue
-		}
-		if pendingSpace {
-			state = c.step(state, ' ', s)
-			pendingSpace = false
-		}
-		inWord = true
-		state = c.step(state, lowerASCII(b), s)
+// classify is ClassifyInto and ClassifyBytes: one pass over the raw bytes,
+// or, on non-ASCII input, a second over the materialized normalized form.
+// Both are marked go:noinline: inlined into another package, their call to
+// this generic function loses its escape information, and the caller's
+// scratch and buffer would move to the heap.
+func classify[T string | []byte](c *Classifier, desc T, s *ClassifyScratch) int {
+	s.begin(c)
+	if !scan(c, desc, &c.rawClass, s) {
+		s.begin(c)
+		scan(c, normalize(string(desc)), &c.normClass, s)
 	}
-	return true
-}
-
-// scanNormalized matches pre-normalized text (already lowercased and
-// space-collapsed) byte by byte — the non-ASCII fallback path.
-func (c *Classifier) scanNormalized(text string, s *ClassifyScratch) {
-	state := int32(0)
-	for i := 0; i < len(text); i++ {
-		state = c.step(state, text[i], s)
+	w := winner(&s.Scores)
+	s.nMatched = 0
+	for _, pid := range s.fired {
+		if int(c.pats[pid].dir) == w {
+			s.nMatched++
+		}
 	}
+	return w
 }
 
 // winner replicates the reference tie-break exactly: directions compete in
@@ -272,63 +369,19 @@ func winner(scores *[numDirections]float64) int {
 // allocations, returning the canonical index of the winning direction.
 // Scores and the matched set of the winning direction are left in s
 // (read them via s.Scores and MatchedAppend) until the next call.
+//
+//go:noinline
 func (c *Classifier) ClassifyInto(desc string, s *ClassifyScratch) int {
-	s.begin(c)
-	if !c.scanASCII(desc, s) {
-		// Non-ASCII input: rerun over the materialized normalized form.
-		s.begin(c)
-		c.scanNormalized(normalize(desc), s)
-	}
-	w := winner(&s.Scores)
-	s.nMatched = 0
-	for _, pid := range s.fired {
-		if int(c.pats[pid].dir) == w {
-			s.nMatched++
-		}
-	}
-	return w
+	return classify(c, desc, s)
 }
 
 // ClassifyBytes is ClassifyInto over a byte slice — the corpus pipeline
 // classifies descriptions straight out of reused generation buffers without
 // converting them to strings. The scan never retains the slice.
+//
+//go:noinline
 func (c *Classifier) ClassifyBytes(desc []byte, s *ClassifyScratch) int {
-	s.begin(c)
-	state := int32(0)
-	pendingSpace := false
-	inWord := false
-	ascii := true
-	for i := 0; i < len(desc); i++ {
-		b := desc[i]
-		if b >= 0x80 {
-			ascii = false
-			break
-		}
-		if isASCIISpace(b) {
-			if inWord {
-				pendingSpace = true
-			}
-			continue
-		}
-		if pendingSpace {
-			state = c.step(state, ' ', s)
-			pendingSpace = false
-		}
-		inWord = true
-		state = c.step(state, lowerASCII(b), s)
-	}
-	if !ascii {
-		s.begin(c)
-		c.scanNormalized(normalize(string(desc)), s)
-	}
-	w := winner(&s.Scores)
-	s.nMatched = 0
-	for _, pid := range s.fired {
-		if int(c.pats[pid].dir) == w {
-			s.nMatched++
-		}
-	}
-	return w
+	return classify(c, desc, s)
 }
 
 // Matched reports how many distinct keywords of the winning direction the
@@ -353,21 +406,17 @@ func (c *Classifier) MatchedAppend(dst []string, w int, s *ClassifyScratch) []st
 // Patterns returns the number of compiled keywords.
 func (c *Classifier) Patterns() int { return len(c.pats) }
 
-// States returns the number of DFA states (diagnostics and tests).
-func (c *Classifier) States() int { return len(c.outStart) - 1 }
+// States returns the number of rows of the product automaton (diagnostics
+// and tests).
+func (c *Classifier) States() int { return len(c.delta) >> c.shift }
 
 // SchemeFingerprint is the stable identity of the compiled keyword scheme:
 // a SHA-256 over every (direction, keyword, weight) triple in canonical
-// order. The corpus engine folds it into its per-shard memo keys, so
-// editing directionKeywords invalidates every cached classification
-// aggregate automatically — no manual version bump to forget.
-func SchemeFingerprint() string {
-	h := sha256.New()
-	for _, p := range Compiled().pats {
-		fmt.Fprintf(h, "%d:%s:%g\n", p.dir, p.kw, p.weight)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+// order, hashed once when the classifier is built. The corpus engine folds
+// it into its per-shard memo keys, so editing directionKeywords invalidates
+// every cached classification aggregate automatically — no manual version
+// bump to forget.
+func SchemeFingerprint() string { return Compiled().fingerprint }
 
 // KeywordsFor returns the keyword list of one direction, sorted — the
 // vocabulary seam the synthetic corpus generator plants signal from.

@@ -120,6 +120,62 @@ func TestCompiledShape(t *testing.T) {
 	if Compiled() != c {
 		t.Fatal("Compiled is not a singleton")
 	}
+	if width := 1 << c.shift; width >= 256 {
+		t.Fatalf("product rows are %d entries wide, want fewer than the 256 byte values", width)
+	}
+}
+
+// A keyword the product automaton cannot match exactly — empty, or not in
+// normalized form, which includes whitespace at either end — must fail the
+// build, not compile into a table that silently misses it.
+func TestBuildRejectsUnnormalizedKeyword(t *testing.T) {
+	for _, kw := range []string{"", "energy ", " energy", "\tenergy", "Energy", "big  data", "big\tdata"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("buildClassifier accepted keyword %q", kw)
+				}
+			}()
+			buildClassifier(map[catalog.Direction]map[string]float64{catalog.EnergyEfficiency: {kw: 1}})
+		}()
+	}
+}
+
+// kernelClassification reads the last ClassifyInto/ClassifyBytes result w
+// out of s in the shape of ClassifyDescription's answer.
+func kernelClassification(c *Classifier, w int, s *ClassifyScratch) Classification {
+	scores := map[catalog.Direction]float64{}
+	for d, sc := range s.Scores {
+		if sc != 0 {
+			scores[catalog.Directions()[d]] = sc
+		}
+	}
+	matched := c.MatchedAppend(nil, w, s)
+	if len(matched) == 0 {
+		matched = nil
+	}
+	return Classification{Direction: catalog.Directions()[w], Scores: scores, Matched: matched}
+}
+
+// FuzzClassify drives every classify entry point against the
+// strings.Contains reference on arbitrary input: the direction, the exact
+// scores and the matched keywords must all agree. Its seed corpus under
+// testdata/fuzz/FuzzClassify runs on every go test.
+func FuzzClassify(f *testing.F) {
+	c := Compiled()
+	f.Fuzz(func(t *testing.T, desc string) {
+		want := classifyDescriptionRef(desc)
+		if got := ClassifyDescription(desc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ClassifyDescription(%q):\n got %+v\nwant %+v", desc, got, want)
+		}
+		var s ClassifyScratch
+		if got := kernelClassification(c, c.ClassifyInto(desc, &s), &s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ClassifyInto(%q):\n got %+v\nwant %+v", desc, got, want)
+		}
+		if got := kernelClassification(c, c.ClassifyBytes([]byte(desc), &s), &s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ClassifyBytes(%q):\n got %+v\nwant %+v", desc, got, want)
+		}
+	})
 }
 
 // The classify kernel must not allocate in steady state — the property the

@@ -70,6 +70,41 @@ func TestDescribeZeroAllocs(t *testing.T) {
 	}
 }
 
+// The shard body's classify step must not allocate either: ClassifyBytes
+// on generated descriptions out of a reused buffer, on a warm scratch.
+func TestClassifyBytesZeroAllocs(t *testing.T) {
+	g := NewGenerator(DefaultSpec(1000), 7)
+	cls := core.Compiled()
+	var sc core.ClassifyScratch
+	buf, _ := g.Describe(0, nil)
+	cls.ClassifyBytes(buf, &sc)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		buf, _ = g.Describe(i%1000, buf[:0])
+		cls.ClassifyBytes(buf, &sc)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("ClassifyBytes allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// A caller's scratch and buffer stay on its stack: a fresh scratch
+// allocates only its seen and fired slices, as scenarios.MutateCorpus makes
+// one per op.
+func TestClassifyBytesCallerStack(t *testing.T) {
+	cls := core.Compiled()
+	desc := []byte("big data analytics")
+	allocs := testing.AllocsPerRun(100, func() {
+		var sc core.ClassifyScratch
+		buf := make([]byte, 0, 64)
+		cls.ClassifyBytes(append(buf, desc...), &sc)
+	})
+	if allocs != 2 {
+		t.Fatalf("a fresh scratch and buffer cost %.1f allocs, want 2", allocs)
+	}
+}
+
 // The filler vocabulary must be classification-neutral: no keyword may
 // occur in any space-joined sequence of filler words. Joining the whole
 // vocabulary (and its reverse, to cover both adjacency orders) must score
