@@ -29,6 +29,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/experiments"
 	"repro/internal/par"
 	"repro/internal/report"
@@ -150,25 +151,19 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprint(stdout, out)
 		return printMetrics(stdout, reg)
 	}
-	var full string
+	env := &exp.Env{Par: []par.Option{par.Workers(*workers)}}
 	if *cacheDir != "" {
-		store, err := cas.NewDiskStore(*cacheDir)
-		if err != nil {
+		if env.Store, err = cas.NewDiskStore(*cacheDir); err != nil {
 			return err
 		}
-		// The sim clock keeps cache spans and journal-free telemetry
-		// byte-identical across invocations; the report bytes equal the
-		// uncached render either way.
-		memo := &cas.Memo{Store: store, Clock: clock.NewSim(1), Metrics: reg}
-		full, _, err = report.FullCached(study, memo)
-		if err != nil {
-			return err
-		}
-	} else {
-		full, err = report.Full(study, par.Workers(*workers))
-		if err != nil {
-			return err
-		}
+		// The sim clock keeps the section spans byte-identical across
+		// invocations; the report bytes equal the uncached render either
+		// way. Section reuse reaches -metrics as report.shards.hit/exec.
+		env.Clock, env.Metrics = clock.NewSim(1), reg
+	}
+	full, _, err := report.FullEnv(study, env)
+	if err != nil {
+		return err
 	}
 	observeRender(reg, full)
 	fmt.Fprint(stdout, full)

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"repro/internal/clock"
-	"repro/internal/telemetry"
 	"repro/internal/workflow"
 )
 
@@ -103,12 +102,9 @@ type RunResult struct {
 type Memo struct {
 	// Store holds artifacts and the memo table. Required.
 	Store Store
-	// Clock stamps journal entries and store-operation spans
-	// (nil = clock.System). Inject a clock.Sim for byte-identical journals.
+	// Clock stamps journal entries (nil = clock.System). Inject a
+	// clock.Sim for byte-identical journals.
 	Clock clock.Clock
-	// Metrics, when non-nil, receives the "cas.hits" / "cas.misses" /
-	// "cas.bytes" counters and "cas.get" / "cas.put" store-operation spans.
-	Metrics *telemetry.Registry
 	// Journal, when non-nil, receives one checkpoint entry per completed
 	// step (hit, restored, or executed).
 	Journal *Journal
@@ -128,20 +124,6 @@ func (m *Memo) runID() string {
 		return "run"
 	}
 	return m.RunID
-}
-
-// span starts a store-operation span when metrics are wired.
-func (m *Memo) span(c clock.Clock, kind, name string) *telemetry.ActiveSpan {
-	if m.Metrics == nil {
-		return nil
-	}
-	return m.Metrics.StartSpan(c, kind, name)
-}
-
-func endSpan(sp *telemetry.ActiveSpan, err error) {
-	if sp != nil {
-		sp.End(err)
-	}
 }
 
 // Run executes wf through r with memoization: each step's memo key is
@@ -195,9 +177,7 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 			// Checkpoint resume: the journal of the faulted run already
 			// names this step's artifact.
 			if resuming {
-				sp := m.span(c, "cas.get", stepID)
 				data, ok, err := m.Store.Get(resumeKey)
-				endSpan(sp, err)
 				if err != nil {
 					return nil, err
 				}
@@ -212,9 +192,6 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 					out.Status[stepID] = StatusRestored
 					out.Keys[stepID] = resumeKey
 					mu.Unlock()
-					if m.Metrics != nil {
-						m.Metrics.Inc("cas.hits", 1)
-					}
 					m.journalAppend(c, wf.Name, stepID, resumeKey, StatusRestored)
 					return v, nil
 				}
@@ -228,9 +205,7 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 			if target, ok, err := m.Store.Resolve(stepKey); err != nil {
 				return nil, err
 			} else if ok {
-				sp := m.span(c, "cas.get", stepID)
 				data, found, err := m.Store.Get(target)
-				endSpan(sp, err)
 				if err != nil {
 					return nil, err
 				}
@@ -245,9 +220,6 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 					out.Status[stepID] = StatusHit
 					out.Keys[stepID] = target
 					mu.Unlock()
-					if m.Metrics != nil {
-						m.Metrics.Inc("cas.hits", 1)
-					}
 					m.journalAppend(c, wf.Name, stepID, target, StatusHit)
 					return v, nil
 				}
@@ -261,21 +233,16 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 				out.Stats.Failed++
 				out.Status[stepID] = StatusFailed
 				mu.Unlock()
-				if m.Metrics != nil {
-					m.Metrics.Inc("cas.misses", 1)
-				}
 				return nil, err
 			}
 			data, err := Encode(v)
 			if err != nil {
 				return nil, fmt.Errorf("cas: step %q: %w", stepID, err)
 			}
-			sp := m.span(c, "cas.put", stepID)
 			artifact, err := m.Store.Put(data)
 			if err == nil {
 				err = m.Store.Link(stepKey, artifact)
 			}
-			endSpan(sp, err)
 			if err != nil {
 				return nil, err
 			}
@@ -286,10 +253,6 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 			out.Status[stepID] = StatusExecuted
 			out.Keys[stepID] = artifact
 			mu.Unlock()
-			if m.Metrics != nil {
-				m.Metrics.Inc("cas.misses", 1)
-				m.Metrics.Inc("cas.bytes", int64(len(data)))
-			}
 			m.journalAppend(c, wf.Name, stepID, artifact, StatusExecuted)
 			return v, nil
 		}

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Epoch is the origin of simulated time: Sim clocks start here, and the
@@ -150,18 +152,12 @@ func (s *Sim) WorkDuration(key string) time.Duration {
 	if max <= 0 {
 		return 0
 	}
-	// FNV-1a over the key, folded with the seed through the SplitMix64
-	// finalizer (same construction as par.SplitSeed).
+	// FNV-1a over the key, folded with the seed through rng.Split (same
+	// construction as par.SplitSeed).
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	z := uint64(seed) + (h+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return time.Duration(z % uint64(max))
+	return time.Duration(rng.Split(uint64(seed), h) % uint64(max))
 }

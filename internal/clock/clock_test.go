@@ -122,3 +122,23 @@ func TestRealClockMovesForward(t *testing.T) {
 		t.Error("real clock did not move")
 	}
 }
+
+// WorkDuration's jitter is a pure function of (seed, key): pin a few values
+// under a one-second jitter bound.
+func TestWorkDurationPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		key  string
+		want time.Duration
+	}{
+		{1, "", 679211815},
+		{1, "train", 860991764},
+		{-7, "ingest", 378869459},
+	} {
+		s := NewSim(c.seed)
+		s.SetJitter(time.Second)
+		if got := s.WorkDuration(c.key); got != c.want {
+			t.Errorf("NewSim(%d).WorkDuration(%q) = %d, want %d", c.seed, c.key, got, c.want)
+		}
+	}
+}

@@ -69,9 +69,9 @@ func (e *Env) Clk() clock.Clock { return clock.Or(e.Clock) }
 func (e *Env) ParOpts() []par.Option { return e.Par }
 
 // SeedFor derives the independent sub-seed for a named stream: FNV-1a over
-// the name folded with the root seed through the SplitMix64 finalizer — the
-// same construction as par.SplitSeed and clock.Sim.WorkDuration, so the
-// whole randomness story of the repo stays one primitive. Distinct names
+// the name folded with the root seed through rng.Split — the same
+// construction as par.SplitSeed and clock.Sim.WorkDuration, so the whole
+// randomness story of the repo stays one primitive. Distinct names
 // yield independent streams; the same (root, name) pair always yields the
 // same seed, regardless of call order or goroutine.
 func (e *Env) SeedFor(name string) int64 {
@@ -80,13 +80,7 @@ func (e *Env) SeedFor(name string) int64 {
 		h ^= uint64(name[i])
 		h *= 1099511628211
 	}
-	z := uint64(e.Seed) + (h+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return int64(rng.Split(uint64(e.Seed), h))
 }
 
 // Rng returns a fresh deterministic generator for the named stream. By

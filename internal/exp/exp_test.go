@@ -322,3 +322,21 @@ func TestNamesSortedAndGet(t *testing.T) {
 		t.Errorf("Experiments() order wrong: %v", exps)
 	}
 }
+
+// SeedFor's outputs key every experiment stream and memo entry: pin a few.
+func TestSeedForPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		name string
+		want int64
+	}{
+		{0, "", 3280913990850182452},
+		{1, "report.full", 2899475418416482908},
+		{42, "corpus/classify", -4234439302062352480},
+	} {
+		env := &Env{Seed: c.seed}
+		if got := env.SeedFor(c.name); got != c.want {
+			t.Errorf("SeedFor(%d, %q) = %d, want %d", c.seed, c.name, got, c.want)
+		}
+	}
+}

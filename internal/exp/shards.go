@@ -1,10 +1,11 @@
 package exp
 
 // The sharded-memo executor behind the indexed workloads — corpus
-// classification (internal/corpus) and generated scenario families
-// (internal/scengen). Both cut an index range into fixed-size shards,
-// memoize each shard's aggregate in the content-addressed store and fold
-// the aggregates in shard order. Shard boundaries depend only on entry
+// classification (internal/corpus), generated scenario families
+// (internal/scengen) and the full report (internal/report, one size-1
+// shard per section). All three cut an index range into fixed-size
+// shards, memoize each shard's aggregate in the content-addressed store
+// and fold the aggregates in shard order. Shard boundaries depend only on entry
 // indices and the shard size, never on the range length or the worker
 // count, so a full shard's memo key survives growth of the range and the
 // fold is bit-identical at any par.Workers(n).

@@ -74,8 +74,8 @@ func TestReportPackIgnoresCacheState(t *testing.T) {
 	}
 	bare, _ := seal(nil)
 	cold, coldEnv := seal(cas.NewMemStore())
-	if coldEnv.Metrics.Counter("cas.misses") == 0 {
-		t.Fatal("cold store: no report section missed")
+	if coldEnv.Metrics.Counter("report.shards.exec") == 0 {
+		t.Fatal("cold store: no report section rendered")
 	}
 	warmed := cas.NewMemStore()
 	other := simEnv(4)
@@ -84,9 +84,9 @@ func TestReportPackIgnoresCacheState(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm, warmEnv := seal(warmed)
-	if warmEnv.Metrics.Counter("cas.hits") == 0 || warmEnv.Metrics.Counter("cas.misses") != 0 {
-		t.Fatalf("section-warm store: cas.hits=%d cas.misses=%d, want every section a hit",
-			warmEnv.Metrics.Counter("cas.hits"), warmEnv.Metrics.Counter("cas.misses"))
+	if warmEnv.Metrics.Counter("report.shards.hit") == 0 || warmEnv.Metrics.Counter("report.shards.exec") != 0 {
+		t.Fatalf("section-warm store: report.shards.hit=%d report.shards.exec=%d, want every section a hit",
+			warmEnv.Metrics.Counter("report.shards.hit"), warmEnv.Metrics.Counter("report.shards.exec"))
 	}
 	for _, c := range []struct {
 		name string

@@ -19,6 +19,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/rng"
 )
 
 // defaultShards is the fixed shard count for inputs larger than it. It is a
@@ -121,18 +123,12 @@ func ShardCount(n int, opts ...Option) int {
 	return min(o.shards, n)
 }
 
-// SplitSeed derives the shard-th sub-seed from a root seed using the
-// SplitMix64 finalizer (Steele et al., OOPSLA'14). Distinct shards get
-// statistically independent, reproducible streams; the mapping depends only
-// on (root, shard).
+// SplitSeed derives the shard-th sub-seed from a root seed: draw shard of
+// the SplitMix64 stream at root (rng.Split; Steele et al., OOPSLA'14).
+// Distinct shards get statistically independent, reproducible streams; the
+// mapping depends only on (root, shard).
 func SplitSeed(root int64, shard int) int64 {
-	z := uint64(root) + (uint64(shard)+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return int64(rng.Split(uint64(root), uint64(shard)))
 }
 
 // shardBounds returns the half-open range of shard s when n items are split

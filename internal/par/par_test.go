@@ -271,3 +271,20 @@ func benchMapReduce(b *testing.B, workers int) {
 		}
 	}
 }
+
+// SplitSeed's outputs are part of every shard-seeded golden: pin a few.
+func TestSplitSeedPinned(t *testing.T) {
+	for _, c := range []struct {
+		root  int64
+		shard int
+		want  int64
+	}{
+		{0, 0, -2152535657050944081},
+		{1, 5, -4373826470845021568},
+		{-3, 1000, 954801942323494742},
+	} {
+		if got := SplitSeed(c.root, c.shard); got != c.want {
+			t.Errorf("SplitSeed(%d, %d) = %d, want %d", c.root, c.shard, got, c.want)
+		}
+	}
+}

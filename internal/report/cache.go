@@ -1,15 +1,14 @@
 package report
 
-// Content-addressed report caching: the full report is rebuilt as a
-// workflow of section steps run through cas.Memo, so a warm rebuild over
-// an unchanged study executes zero render bodies and reproduces the
-// artifacts byte for byte. Cache keys derive from the study's *content*
-// (corpus + survey), not its identity: two studies with equal catalogs and
-// equal vote matrices share cache entries, and any edit to either — a new
-// tool, a flipped checkmark — invalidates exactly the affected steps.
+// Content-addressed report caching: FullEnv stores each rendered section
+// in env.Store under sectionKey, so a warm rebuild over an unchanged study
+// renders nothing and reproduces the report byte for byte. Cache keys
+// derive from the study's *content* (corpus + survey), not its identity:
+// two studies with equal catalogs and equal vote matrices share cache
+// entries, and any edit to either — a new tool, a flipped checkmark —
+// re-keys every section.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -19,13 +18,12 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/workflow"
 )
 
 // reportCacheVersion is folded into every section fingerprint; bump it
 // whenever a renderer changes so stale artifacts cannot be served.
-// v2: cache keys derive from the report Spec fingerprint and steps carry
-// section names instead of positional sec%02d IDs.
+// v2: cache keys derive from the report Spec fingerprint and carry section
+// names instead of positional sec%02d IDs.
 // v3: the corpus-scale classifier-validation section joins the report.
 const reportCacheVersion = "report/v3"
 
@@ -33,9 +31,9 @@ const reportCacheVersion = "report/v3"
 const ExperimentName = "report.full"
 
 // Spec returns the declarative identity of the full-report build: the
-// renderer version plus the study content fingerprint. Every cache key in
-// FullCached derives from this spec's fingerprint, so an edit to the corpus,
-// the votes, or the renderer recipe re-keys exactly what it invalidates.
+// renderer version plus the study content fingerprint. Every section key
+// derives from this spec's fingerprint, so an edit to the corpus, the
+// votes, or the renderer recipe re-keys exactly what it invalidates.
 func Spec(s *core.Study) (exp.Spec, error) {
 	fp, err := StudyFingerprint(s)
 	if err != nil {
@@ -73,78 +71,10 @@ func StudyFingerprint(s *core.Study) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// fullWorkflow builds the report-as-DAG: one step per named section plus
-// an assemble step depending on all of them.
-func fullWorkflow(secs []section) (*workflow.Workflow, []string) {
-	wf := workflow.New(ExperimentName)
-	ids := make([]string, len(secs))
-	for i, sec := range secs {
-		ids[i] = sec.ID
-		wf.MustAdd(workflow.Step{ID: sec.ID})
-	}
-	wf.MustAdd(workflow.Step{ID: "assemble", After: ids})
-	return wf, ids
-}
-
-// FullCached renders the complete study report through the memoization
-// layer: every section is a workflow step whose cache key derives from the
-// study fingerprint and the renderer version, and the final concatenation
-// is itself a cached step keyed on the section artifacts. A warm rebuild
-// over an unchanged study executes zero step bodies and returns bytes
-// identical to the cold build (Full produces the same bytes as well).
-func FullCached(s *core.Study, m *cas.Memo) (string, cas.RunStats, error) {
-	return FullCachedEnv(s, m, nil)
-}
-
-// FullCachedEnv is FullCached under an experiment environment: section
-// bodies run inside "report.section" spans on env (cache hits skip the body
-// and therefore the span — the trace shows exactly what re-rendered), and
-// every step key derives from the report Spec fingerprint.
-func FullCachedEnv(s *core.Study, m *cas.Memo, env *exp.Env) (string, cas.RunStats, error) {
-	var zero cas.RunStats
-	spec, err := Spec(s)
-	if err != nil {
-		return "", zero, err
-	}
-	fp, err := spec.Fingerprint()
-	if err != nil {
-		return "", zero, err
-	}
-	secs := sections(s)
-	wf, ids := fullWorkflow(secs)
-
-	bodies := map[string]workflow.StepFunc{}
-	fingerprints := map[string]string{}
-	for _, sec := range secs {
-		sec := sec
-		bodies[sec.ID] = func(context.Context, map[string]any) (any, error) {
-			return renderSection(env, sec)
-		}
-		fingerprints[sec.ID] = fmt.Sprintf("%s:%s", fp, sec.ID)
-	}
-	bodies["assemble"] = func(_ context.Context, deps map[string]any) (any, error) {
-		var b strings.Builder
-		for _, id := range ids {
-			sec, ok := deps[id].(string)
-			if !ok {
-				return nil, fmt.Errorf("report: section %s produced %T, want string", id, deps[id])
-			}
-			b.WriteString(sec)
-		}
-		return b.String(), nil
-	}
-	// The assemble key already covers the section artifacts through its
-	// dep hashes; the fingerprint pins the concatenation code version.
-	fingerprints["assemble"] = fp + ":assemble"
-
-	r := &workflow.Runner{Clock: m.Clock}
-	out, err := m.Run(context.Background(), r, wf, bodies, fingerprints)
-	if err != nil {
-		return "", zero, err
-	}
-	full, ok := out.Results["assemble"].Value.(string)
-	if !ok {
-		return "", zero, fmt.Errorf("report: assemble produced %T, want string", out.Results["assemble"].Value)
-	}
-	return full, out.Stats, nil
+// sectionKey is the memo key of one rendered section: the cas step key of
+// the section ID under the report experiment, fingerprinted by the report
+// Spec fingerprint and the ID. A change to this recipe turns every existing
+// -cache directory cold, so TestSectionKeysPinned pins two of its keys.
+func sectionKey(specFP, id string) cas.Key {
+	return cas.StepKey(ExperimentName, id, specFP+":"+id, nil)
 }

@@ -5,31 +5,30 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/catalog"
-	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/par"
 )
 
-func newMemo(t testing.TB) *cas.Memo {
-	t.Helper()
-	return &cas.Memo{Store: cas.NewMemStore(), Clock: clock.NewSim(1)}
-}
+// storeEnv returns an environment that memoizes report sections in a
+// fresh in-memory store.
+func storeEnv() *exp.Env { return &exp.Env{Store: cas.NewMemStore()} }
 
 // TestFullCachedWarmRebuild is the acceptance-criterion test: the warm
-// rebuild executes zero step bodies and its artifact is byte-identical to
-// the cold build (which itself matches the uncached renderer).
+// rebuild renders zero sections and its artifact is byte-identical to the
+// cold build (which itself matches the storeless renderer).
 func TestFullCachedWarmRebuild(t *testing.T) {
 	s, err := core.Default()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMemo(t)
+	env := storeEnv()
 
-	cold, coldStats, err := FullCached(s, m)
+	cold, coldStats, err := FullEnv(s, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coldStats.Executed == 0 || coldStats.Hits != 0 {
+	if coldStats.ShardsExecuted == 0 || coldStats.ShardsCached != 0 {
 		t.Fatalf("cold stats: %+v", coldStats)
 	}
 
@@ -41,18 +40,60 @@ func TestFullCachedWarmRebuild(t *testing.T) {
 		t.Fatal("cached cold build differs from uncached Full")
 	}
 
-	warm, warmStats, err := FullCached(s, m)
+	warm, warmStats, err := FullEnv(s, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warmStats.Executed != 0 {
-		t.Fatalf("warm rebuild executed %d step bodies", warmStats.Executed)
+	if warmStats.ShardsExecuted != 0 {
+		t.Fatalf("warm rebuild rendered %d sections", warmStats.ShardsExecuted)
 	}
-	if warmStats.Hits != coldStats.Executed {
-		t.Fatalf("warm hits %d != cold executions %d", warmStats.Hits, coldStats.Executed)
+	if warmStats.ShardsCached != coldStats.ShardsExecuted {
+		t.Fatalf("warm hits %d != cold renders %d", warmStats.ShardsCached, coldStats.ShardsExecuted)
 	}
 	if warm != cold {
 		t.Fatal("warm artifact not byte-identical to cold build")
+	}
+}
+
+// Section keys and their stored form are part of the cache format: a
+// change to either turns every existing -cache directory cold. These are
+// the links, and their artifact targets, that the default study stores for
+// its first and last sections.
+func TestSectionKeysPinned(t *testing.T) {
+	s, err := core.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := storeEnv()
+	if _, _, err := FullEnv(s, env); err != nil {
+		t.Fatal(err)
+	}
+	links, err := env.Store.Links()
+	if err != nil {
+		t.Fatal(err)
+	}
+	linked := map[cas.Key]bool{}
+	for _, k := range links {
+		linked[k] = true
+	}
+	for _, c := range []struct {
+		id          string
+		key, target cas.Key
+	}{
+		{"protocol",
+			"227091c112319ff4cc4b2cc2f0dc383d1aa5383aaa69b4a6a266b1b08d2acff3",
+			"3be28e32f53fe04eb03c0db75fe65eed20059467d989cf97b734a96f36be4f53"},
+		{"maturity",
+			"73dcf3caf5ab388ad91ae76a34c22f9c5ae394dceecef31e3520b22ad24c88a5",
+			"ee91e0a8a19bd38c32c70bb8d725ae86cfc41251e63fb67bdc6bb72c1405f91b"},
+	} {
+		if !linked[c.key] {
+			t.Errorf("section %s: no link under pinned key %s", c.id, c.key.Short())
+			continue
+		}
+		if target, _, err := env.Store.Resolve(c.key); err != nil || target != c.target {
+			t.Errorf("section %s: key links to %s (err %v), want %s", c.id, target.Short(), err, c.target.Short())
+		}
 	}
 }
 
@@ -102,8 +143,8 @@ func TestFullCachedInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMemo(t)
-	if _, _, err := FullCached(s1, m); err != nil {
+	env := storeEnv()
+	if _, _, err := FullEnv(s1, env); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,19 +154,19 @@ func TestFullCachedInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := FullCached(s2, m)
+	_, stats, err := FullEnv(s2, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Executed == 0 {
+	if stats.ShardsExecuted == 0 {
 		t.Fatal("edited study served entirely from cache (stale artifacts)")
 	}
 }
 
 // The cas bench leg: cold = fresh store every iteration (every section
-// renders), warm = primed store (zero bodies execute). `make bench-gate`
-// holds both to BENCH_cas.json, which also records the per-iteration step
-// executions.
+// renders), warm = primed store (no section renders). `make bench-gate`
+// holds both to BENCH_cas.json, which also records the sections rendered
+// per iteration as steps/op.
 func BenchmarkReportBuildCold(b *testing.B) {
 	s, err := core.Default()
 	if err != nil {
@@ -135,12 +176,11 @@ func BenchmarkReportBuildCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := &cas.Memo{Store: cas.NewMemStore(), Clock: clock.NewSim(1)}
-		_, stats, err := FullCached(s, m)
+		_, stats, err := FullEnv(s, storeEnv())
 		if err != nil {
 			b.Fatal(err)
 		}
-		steps += stats.Executed
+		steps += stats.ShardsExecuted
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }
@@ -150,19 +190,19 @@ func BenchmarkReportBuildWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := &cas.Memo{Store: cas.NewMemStore(), Clock: clock.NewSim(1)}
-	if _, _, err := FullCached(s, m); err != nil {
+	env := storeEnv()
+	if _, _, err := FullEnv(s, env); err != nil {
 		b.Fatal(err)
 	}
 	var steps int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, stats, err := FullCached(s, m)
+		_, stats, err := FullEnv(s, env)
 		if err != nil {
 			b.Fatal(err)
 		}
-		steps += stats.Executed
+		steps += stats.ShardsExecuted
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cas"
 	"repro/internal/catalog"
 	"repro/internal/charts"
 	"repro/internal/core"
@@ -194,9 +195,9 @@ func FigE1(s *core.Study) *charts.BarChart {
 	return c
 }
 
-// section is one named unit of the report: the unit of parallelism for
-// Full, the unit of caching for FullCached, and the unit of telemetry for
-// both (each render is wrapped in a "report.section" span on the Env).
+// section is one named unit of the report: one FullEnv shard, and so the
+// unit of parallelism, of caching and of telemetry (each render is wrapped
+// in a "report.section" span on the Env).
 type section struct {
 	// ID names the section in spans, cache keys and trace output. IDs are
 	// part of the cache-key recipe: renaming one invalidates its artifact.
@@ -291,46 +292,51 @@ func sections(s *core.Study) []section {
 }
 
 // Full renders the complete study report: protocol, all tables and figures
-// in ASCII form, and the synthesized answers to Q1–Q3. The sections are
-// independent pure reads of the study, so they render concurrently on the
-// par worker pool and are concatenated in the fixed section order — the
-// output is byte-identical for any par.Workers(n).
+// in ASCII form, and the synthesized answers to Q1–Q3. It is FullEnv on an
+// environment with no store and no telemetry, whose worker pool opts
+// configure; the output is byte-identical for any par.Workers(n).
 func Full(s *core.Study, opts ...par.Option) (string, error) {
-	return FullEnv(s, nil, opts...)
+	full, _, err := FullEnv(s, &exp.Env{Par: opts})
+	return full, err
 }
 
-// FullEnv is Full under an experiment environment: each section render is
-// wrapped in a "report.section" span on env (so TraceText shows per-section
-// timings), and env's par options seed the worker pool. A nil env renders
-// exactly like Full.
-func FullEnv(s *core.Study, env *exp.Env, opts ...par.Option) (string, error) {
+// FullEnv renders the complete study report under an experiment
+// environment. Each section is one shard of exp.MapShards in the "report"
+// namespace: the sections are independent pure reads of the study, so they
+// render concurrently on env's worker pool, each inside a "report.section"
+// span, and join in the fixed section order — the bytes are identical for
+// any worker count and any cache state. With env.Store set, a section is
+// first looked up under sectionKey; a hit skips the render and its span, so
+// a warm rebuild over an unchanged study renders nothing and the trace
+// shows exactly what re-rendered. The stats give the render/hit split.
+func FullEnv(s *core.Study, env *exp.Env) (string, exp.ShardStats, error) {
 	secs := sections(s)
-	if env != nil {
-		opts = append(append([]par.Option(nil), env.ParOpts()...), opts...)
-	}
-	// One shard per section: each renders independently, and the string
-	// concatenation merge preserves the fixed section order. Grain(1): a
-	// section render is orders of magnitude heavier than the par handoff.
-	return par.MapReduceN(len(secs), func(_, lo, hi int) (string, error) {
-		var b strings.Builder
-		for i := lo; i < hi; i++ {
-			sec, err := renderSection(env, secs[i])
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(sec)
+	// Only a store reads the keys, so the storeless build skips the
+	// study fingerprint.
+	var fp string
+	if env.Store != nil {
+		spec, err := Spec(s)
+		if err != nil {
+			return "", exp.ShardStats{}, err
 		}
-		return b.String(), nil
-	}, func(a, b string) string { return a + b }, append([]par.Option{par.Grain(1)}, opts...)...)
-}
-
-// renderSection runs one section render inside its telemetry span.
-func renderSection(env *exp.Env, sec section) (string, error) {
-	if env == nil {
-		return sec.Render()
+		if fp, err = spec.Fingerprint(); err != nil {
+			return "", exp.ShardStats{}, err
+		}
 	}
-	sp := env.StartSpan("report.section", sec.ID)
-	out, err := sec.Render()
-	sp.End(err)
-	return out, err
+	var b strings.Builder
+	_, stats, err := exp.MapShards(env, "report", len(secs), 1,
+		func(i, _, _ int) cas.Key { return sectionKey(fp, secs[i].ID) },
+		func(i, _, _ int) (string, error) {
+			sp := env.StartSpan("report.section", secs[i].ID)
+			out, err := secs[i].Render()
+			sp.End(err)
+			return out, err
+		},
+		// MapShards folds in section order, so the fold appends each
+		// section to one builder and leaves its own accumulator unused.
+		func(_, sec *string) { b.WriteString(*sec) })
+	if err != nil {
+		return "", exp.ShardStats{}, err
+	}
+	return b.String(), stats, nil
 }

@@ -297,74 +297,55 @@ func TestFigE1(t *testing.T) {
 	}
 }
 
-// Satellite fix: per-section telemetry is no longer swallowed — TraceText
-// shows one "report.section" span per section under FullEnv, and under
-// FullCachedEnv the cold build spans every section while the warm build
-// spans none (hits skip the render bodies entirely).
+// Per-section telemetry: every rendered section emits exactly one
+// "report.section" span, on the storeless and the cold-store builds alike,
+// and a warm build emits none (hits skip the render bodies entirely).
 func TestSectionSpansVisibleInTrace(t *testing.T) {
 	s := study(t)
-	sectionIDs := []string{
-		"protocol", "fig1", "table1", "fig2", "fig3",
-		"table2", "fig4", "discussion", "validation", "maturity",
-	}
-
-	sim := clock.NewSim(1)
-	env := &exp.Env{Clock: sim, Metrics: telemetry.NewWithClock(sim)}
 	plain, err := Full(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := FullEnv(s, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full != plain {
-		t.Fatal("FullEnv bytes diverge from Full")
-	}
-	trace := env.Metrics.TraceText()
-	for _, id := range sectionIDs {
-		if !strings.Contains(trace, "report.section") || !strings.Contains(trace, id) {
-			t.Errorf("FullEnv trace missing section %s:\n%s", id, trace)
+	store := cas.NewMemStore()
+	for _, c := range []struct {
+		name  string
+		store cas.Store
+		spans int // report.section spans per section
+	}{
+		{"storeless", nil, 1},
+		{"cold store", store, 1},
+		{"warm store", store, 0},
+	} {
+		sim := clock.NewSim(1)
+		env := &exp.Env{Clock: sim, Metrics: telemetry.NewWithClock(sim), Store: c.store}
+		full, _, err := FullEnv(s, env)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	sim2 := clock.NewSim(2)
-	cold := &exp.Env{Clock: sim2, Metrics: telemetry.NewWithClock(sim2)}
-	m := &cas.Memo{Store: cas.NewMemStore(), Clock: sim2, Metrics: cold.Metrics}
-	cached, _, err := FullCachedEnv(s, m, cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached != plain {
-		t.Fatal("FullCachedEnv bytes diverge from Full")
-	}
-	coldTrace := cold.Metrics.TraceText()
-	for _, id := range sectionIDs {
-		if !strings.Contains(coldTrace, "report.section") || !strings.Contains(coldTrace, id) {
-			t.Errorf("cold FullCachedEnv trace missing section %s", id)
+		if full != plain {
+			t.Fatalf("%s: FullEnv bytes diverge from Full", c.name)
 		}
-	}
-
-	sim3 := clock.NewSim(3)
-	warm := &exp.Env{Clock: sim3, Metrics: telemetry.NewWithClock(sim3)}
-	m.Clock, m.Metrics = sim3, warm.Metrics
-	rewarm, stats, err := FullCachedEnv(s, m, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rewarm != plain {
-		t.Fatal("warm FullCachedEnv bytes diverge from Full")
-	}
-	if stats.Executed != 0 {
-		t.Fatalf("warm rebuild executed %d bodies", stats.Executed)
-	}
-	if strings.Contains(warm.Metrics.TraceText(), "report.section") {
-		t.Error("warm rebuild rendered a section (span emitted on a hit)")
+		count, total := map[string]int{}, 0
+		for _, sp := range env.Metrics.Spans() {
+			if sp.Kind == "report.section" {
+				count[sp.Name]++
+				total++
+			}
+		}
+		secs := sections(s)
+		for _, sec := range secs {
+			if count[sec.ID] != c.spans {
+				t.Errorf("%s: section %s has %d report.section spans, want %d", c.name, sec.ID, count[sec.ID], c.spans)
+			}
+		}
+		if total != len(secs)*c.spans {
+			t.Errorf("%s: %d report.section spans, want %d", c.name, total, len(secs)*c.spans)
+		}
 	}
 }
 
-// The report experiment produces the same bytes as Full through both the
-// cached and uncached paths.
+// The report experiment produces the same bytes as Full with and without a
+// store on the Env.
 func TestReportExperiment(t *testing.T) {
 	s := study(t)
 	e, err := Experiment(s)

@@ -4,11 +4,13 @@
 // injection) where the interface dispatch inside math/rand dominates the
 // per-draw cost.
 //
-// The core is the SplitMix64 sequence of Steele et al. (OOPSLA'14) — the
-// same finalizer par.SplitSeed uses for counter-based seed splitting — so
-// the whole randomness story of the repo reduces to one primitive: a root
-// seed is split into per-shard seeds with par.SplitSeed, and each shard
-// drives a rng.Rand seeded with its split. State is 8 bytes, every draw is
+// The core is the SplitMix64 sequence of Steele et al. (OOPSLA'14). Its
+// finalizer is written once, here: Rand steps the sequence, and Split
+// reads any draw of it directly, which is the counter-based form behind
+// par.SplitSeed, exp.Env.SeedFor and every hash-derived draw. So the whole
+// randomness story of the repo reduces to one primitive: a root seed is
+// split into per-shard seeds with par.SplitSeed, and each shard drives a
+// rng.Rand seeded with its split. State is 8 bytes, every draw is
 // a handful of arithmetic ops with no locks, no interfaces and no heap
 // traffic, and the stream depends only on the seed — never on scheduling,
 // worker counts, or the machine.
@@ -56,18 +58,33 @@ func (r *Rand) Seed(seed int64) {
 	r.hasSpare = false
 }
 
-// Uint64 returns the next 64 uniformly distributed bits: one SplitMix64
-// step (add the golden-gamma, then finalize). SplitMix64 passes BigCrush;
-// each call is two xor-shift-multiplies and an add.
-func (r *Rand) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
+// gamma is the SplitMix64 increment: 2^64 divided by the golden ratio,
+// rounded to odd.
+const gamma = 0x9E3779B97F4A7C15
+
+// mix is the SplitMix64 finalizer: two xor-shift-multiplies and a final
+// xor-shift, a bijection on 64 bits that avalanches every input bit.
+func mix(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27
 	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
+	return z ^ z>>31
+}
+
+// Split returns draw i (from 0) of the SplitMix64 stream seeded at seed,
+// the value Seeded(seed) returns from its (i+1)-th Uint64, without
+// stepping a generator. Callers derive independent seeds and uniforms
+// from it: par.SplitSeed splits by shard index, and the hash-derived
+// draws pass an FNV-1a hash of their key as i.
+func Split(seed, i uint64) uint64 { return mix(seed + (i+1)*gamma) }
+
+// Uint64 returns the next 64 uniformly distributed bits: one SplitMix64
+// step (add the golden-gamma, then finalize). SplitMix64 passes BigCrush;
+// each call is two xor-shift-multiplies and an add.
+func (r *Rand) Uint64() uint64 {
+	r.state += gamma
+	return mix(r.state)
 }
 
 // Int63 returns a non-negative int64.

@@ -12,16 +12,20 @@ import (
 // derived from it (bootstrap stabilities, fault sweeps, Poisson traces)
 // assume these exact bits for a given seed, on every machine.
 func TestGoldenStream(t *testing.T) {
-	want := []uint64{
-		0xBDD732262FEB6E95,
-		0x28EFE333B266F103,
-		0x47526757130F9F52,
-		0x581CE1FF0E4AE394,
-	}
-	r := rng.New(42)
-	for i, w := range want {
-		if got := r.Uint64(); got != w {
-			t.Fatalf("Uint64 #%d = %#016x, want %#016x", i, got, w)
+	for _, c := range []struct {
+		seed int64
+		want []uint64
+	}{
+		{42, []uint64{0xBDD732262FEB6E95, 0x28EFE333B266F103, 0x47526757130F9F52, 0x581CE1FF0E4AE394}},
+		{0, []uint64{0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4}},
+		{-1, []uint64{0xE4D971771B652C20, 0xE99FF867DBF682C9}},
+		{1 << 62, []uint64{0x00AA50EA8E0FA9EB, 0xBD6764BFAB3217FD}},
+	} {
+		r := rng.New(c.seed)
+		for i, w := range c.want {
+			if got := r.Uint64(); got != w {
+				t.Fatalf("seed %d: Uint64 #%d = %#016x, want %#016x", c.seed, i, got, w)
+			}
 		}
 	}
 }
@@ -232,4 +236,17 @@ func BenchmarkNormFloat64(b *testing.B) {
 		x += r.NormFloat64()
 	}
 	_ = x
+}
+
+// Split is the counter-based form of the stream: draw i of Split equals the
+// (i+1)-th Uint64 of a generator at the same seed.
+func TestSplitMatchesStream(t *testing.T) {
+	for _, seed := range []int64{0, -1, 42, 1 << 62} {
+		r := rng.Seeded(seed)
+		for i := uint64(0); i < 8; i++ {
+			if got, want := rng.Split(uint64(seed), i), r.Uint64(); got != want {
+				t.Fatalf("Split(%d, %d) = %#016x, want %#016x", seed, i, got, want)
+			}
+		}
+	}
 }

@@ -39,6 +39,7 @@ import (
 	"repro/internal/orchestrator"
 	"repro/internal/pmu"
 	"repro/internal/ppc"
+	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/survey"
 	"repro/internal/workflow"
@@ -95,13 +96,7 @@ func hashUniform(seed int64, parts ...string) float64 {
 		h ^= 0xff // separator: ("ab","c") != ("a","bc")
 		h *= 1099511628211
 	}
-	z := uint64(seed) + (h+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	return float64(rng.Split(uint64(seed), h)>>11) / (1 << 53)
 }
 
 // ---------------------------------------------------------------------------

@@ -110,3 +110,21 @@ func TestScenarioDescriptions(t *testing.T) {
 		}
 	}
 }
+
+// hashUniform decides every generated fault set: pin a few values.
+func TestHashUniformPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed  int64
+		parts []string
+		want  float64
+	}{
+		{0, nil, 0.17785870383089264},
+		{1, []string{"ab", "c"}, 0.05434757943319157},
+		{1, []string{"a", "bc"}, 0.8784397714692586},
+		{-9, []string{"fault", "3.2"}, 0.2288351613381926},
+	} {
+		if got := hashUniform(c.seed, c.parts...); got != c.want {
+			t.Errorf("hashUniform(%d, %q) = %v, want %v", c.seed, c.parts, got, c.want)
+		}
+	}
+}

@@ -10,7 +10,11 @@ package serve
 // lets a million-request replay produce byte-identical latency series on
 // any real worker count.
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/rng"
+)
 
 // Virtual service times per endpoint, in seconds. Submissions are the
 // expensive admission decision; status polls are near-free; /metrics pays
@@ -77,9 +81,9 @@ func (c *CostModel) Admit(endpoint, key string, nowS float64) (float64, bool) {
 }
 
 // hash01 maps (endpoint, key, seed) onto [0, 1): FNV-1a over the request
-// identity folded with the seed through the SplitMix64 finalizer — the same
-// primitive as Env.SeedFor and clock.Sim.WorkDuration, so the model's
-// randomness depends only on its inputs, never on call order.
+// identity folded with the seed through rng.Split — the same primitive as
+// Env.SeedFor and clock.Sim.WorkDuration, so the model's randomness
+// depends only on its inputs, never on call order.
 func (c *CostModel) hash01(endpoint, key string) float64 {
 	h := uint64(1469598103934665603)
 	mix := func(s string) {
@@ -92,11 +96,5 @@ func (c *CostModel) hash01(endpoint, key string) float64 {
 	}
 	mix(endpoint)
 	mix(key)
-	z := uint64(c.seed) + (h+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) * 0x1p-53
+	return float64(rng.Split(uint64(c.seed), h)>>11) * 0x1p-53
 }

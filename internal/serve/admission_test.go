@@ -77,3 +77,21 @@ func TestCostModelSeedChangesStream(t *testing.T) {
 		t.Fatal("distinct seeds produced identical service times")
 	}
 }
+
+// hash01 draws every modelled service time: pin a few values.
+func TestHash01Pinned(t *testing.T) {
+	for _, c := range []struct {
+		seed          int64
+		endpoint, key string
+		want          float64
+	}{
+		{0, "", "", 0.01080716836904605},
+		{42, "status", "/experiments/key", 0.9701004139738534},
+		{-1, "artifact", "a|b", 0.21256004882828838},
+	} {
+		m := NewCostModel(c.seed, 1, 1)
+		if got := m.hash01(c.endpoint, c.key); got != c.want {
+			t.Errorf("hash01(%d, %q, %q) = %v, want %v", c.seed, c.endpoint, c.key, got, c.want)
+		}
+	}
+}

@@ -12,9 +12,11 @@
 // of DESIGN.md §4.
 //
 // Well-known instrument names: the workflow runner emits workflow.* counters
-// and step spans; the content-addressed store layer (internal/cas) emits
-// cas.hits / cas.misses / cas.bytes counters plus cas.get / cas.put spans
-// per store operation, so cache behaviour lands in the same canonical
+// and step spans; the experiment registry (internal/exp) counts its
+// whole-result memo as exp.hits / exp.misses / exp.bytes with exp.run /
+// exp.get / exp.put spans, and its sharded executor counts
+// <ns>.shards.hit / <ns>.shards.exec (report.shards.*, corpus.shards.*,
+// scengen.shards.*), so cache behaviour lands in the same canonical
 // expositions as everything else.
 package telemetry
 
