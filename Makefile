@@ -3,12 +3,13 @@
 
 GO ?= go
 
-.PHONY: all build vet test race audit clockgate randgate experiments regress fuzz bench bench-harness bench-gate bench-record artifacts examples outputs clean
+.PHONY: all build vet test race audit clockgate randgate deadgate experiments regress fuzz bench bench-harness bench-gate bench-record artifacts examples outputs clean
 
-# audit (vet + race + clock gate + rand gate) is part of all: the parallel
-# substrate (internal/par) and every hot path wired onto it must stay clean
-# under the race detector, no simulator code may read the wall clock
-# directly, and no experiment-registered package may seed math/rand.
+# audit (vet + race + clock gate + rand gate + dead gate) is part of all: the
+# parallel substrate (internal/par) and every hot path wired onto it must stay
+# clean under the race detector, no simulator code may read the wall clock
+# directly, no experiment-registered package may seed math/rand, and every
+# function under internal/ must be reached by a binary or allowlisted.
 # experiments runs every registered experiment under clock.Sim; regress
 # re-executes the committed golden runpacks at workers 1, 4 and 8 and fails
 # on any byte of material drift (DESIGN.md §8); bench-harness builds and
@@ -30,8 +31,8 @@ race:
 	$(GO) test -race ./...
 
 # audit = static checks + race detector + the wall-clock gate (DESIGN.md §4)
-# + the randomness gate (DESIGN.md §6).
-audit: vet race clockgate randgate
+# + the randomness gate (DESIGN.md §6) + the reachability gate.
+audit: vet race clockgate randgate deadgate
 
 # Enforce the clock contract: time.Now/time.Since/time.Sleep may appear in
 # internal/ only inside internal/clock (the single wall-clock boundary) and
@@ -51,15 +52,20 @@ clockgate:
 # determinism obligations of DESIGN.md §6 apply to all of them.
 EXP_PKGS = internal/exp internal/experiments internal/scenarios internal/report \
 	internal/orchestrator internal/ppc internal/pmu internal/bigdata \
-	internal/fog internal/edgeml internal/serve internal/runpack internal/jcs \
+	internal/serve internal/runpack internal/jcs \
 	internal/corpus internal/scengen examples cmd
 
 # Enforce the experiment randomness contract: experiment-registered packages
 # (and the examples/CLIs that drive them) must derive every random stream
 # from internal/rng seed-splitting — importing math/rand or calling time.Now
 # there breaks Spec-fingerprint memoization and worker-count invariance.
-# Tests keep their freedom; _test.go files are exempt.
+# Tests keep their freedom; _test.go files are exempt. A listed path that
+# does not exist fails the gate: grep would only warn, and the gate would
+# report clean for code it never read.
 randgate:
+	@for p in $(EXP_PKGS); do \
+		[ -e "$$p" ] || { echo "rand gate: EXP_PKGS path $$p does not exist"; exit 1; }; \
+	done
 	@bad=$$(grep -rn --include='*.go' -E '"math/rand(/v2)?"|time\.Now\(' $(EXP_PKGS) \
 		| grep -v '_test\.go:' || true); \
 	if [ -n "$$bad" ]; then \
@@ -67,6 +73,19 @@ randgate:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "rand gate: clean"
+
+# The reachability gate: every non-test function under internal/ is in some
+# binary the module builds (every package main and the bench/ harness), or
+# cmd/deadgate/allow.txt names it with a category and a reason. Inlining is
+# off, so a function inlined into every caller still has a symbol of its
+# own. The binaries and their nm listings live in a temporary directory.
+deadgate:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && mkdir "$$dir/bin" && \
+	mains=$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) && \
+	$(GO) build -gcflags=all=-l -o "$$dir/bin/" $$mains && \
+	(cd bench && $(GO) build -gcflags=all=-l -o "$$dir/bin/bench" .) && \
+	for b in "$$dir"/bin/*; do $(GO) tool nm "$$b" || exit 1; done > "$$dir/nm.txt" && \
+	$(GO) run ./cmd/deadgate -allow cmd/deadgate/allow.txt . < "$$dir/nm.txt"
 
 # Run every registered experiment under clock.Sim through the registry —
 # the uniform "all Table 2 checkmarks are executable" check, plus the
@@ -116,13 +135,13 @@ bench-harness:
 # 10% and best of 3 it had when its baseline was re-recorded in the same
 # run as the gate; against a committed baseline it reads host drift.
 BENCH_LEGS = \
-	'kernels:(KMeans(Seq|Par)|FindHotspots|BootstrapQ3(Seq|Par)|FaultSweep(Seq|Par)|MapReduce(Seq|Par)|ReportFull(Seq|Par))$$:./internal/bigdata ./internal/core ./internal/orchestrator ./internal/par ./internal/report:5:0.25' \
+	'kernels:(BootstrapQ3(Seq|Par)|FaultSweep(Seq|Par)|MapReduce(Seq|Par)|ReportFull(Seq|Par))$$:./internal/core ./internal/orchestrator ./internal/par ./internal/report:5:0.25' \
 	'serve:Serve(StatusPoll|ArtifactFetch|Mixed)$$:./internal/serve/loadgen:5:0.25' \
 	'cas:ReportBuild(Cold|Warm)$$:./internal/report:3:0.10' \
 	'runpack:Runpack(Pack|Verify|VerifyEd25519)$$:./internal/runpack:5:0.25' \
 	'corpus:(ClassifyKernel(Baseline)?|ClassifyDescription|CorpusGen|CorpusShard|CorpusClassify(Sharded|Warm))$$:./internal/core ./internal/corpus:5:0.25' \
 	'scen:Scen(GenConfigs|FamilyCold|FamilyWarm)$$:./internal/scengen:5:0.25' \
-	'events:(EngineMillionEvents|EnginePushPop|EngineCancelHeavy|FaultSweepLarge(Seq)?)$$:./internal/continuum ./internal/orchestrator:5:0.25'
+	'events:(EngineMillionEvents|EnginePushPop|FaultSweepLarge(Seq)?)$$:./internal/continuum ./internal/orchestrator:5:0.25'
 
 # In a loop over BENCH_LEGS: split the shell's $row into $1..$5 (name,
 # regexp, packages, count, bound), then run that leg's benchmarks into the

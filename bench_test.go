@@ -268,14 +268,18 @@ func BenchmarkAblationStreamFarm(b *testing.B) {
 		}
 		return acc
 	}
+	in := make([]int, 2000)
+	for i := range in {
+		in[i] = i
+	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		workers := workers
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				src := stream.Generate(context.Background(), 2000, func(i int) int { return i })
-				n, err := stream.Map(src, work, stream.Workers(workers)).Count()
-				if err != nil || n != 2000 {
-					b.Fatalf("n=%d err=%v", n, err)
+				src := stream.FromSlice(context.Background(), in)
+				out, err := stream.Map(src, work, stream.Workers(workers)).Collect()
+				if err != nil || len(out) != 2000 {
+					b.Fatalf("n=%d err=%v", len(out), err)
 				}
 			}
 			b.ReportMetric(float64(2000*b.N)/b.Elapsed().Seconds(), "items/s")

@@ -288,7 +288,7 @@ func execute(out io.Writer, wf *workflow.Workflow, storeDir string, resume, cach
 	}
 	// MaxConcurrent 1 keeps the journal's line order (not just its
 	// canonical rendering) deterministic for a given blueprint.
-	runner := &workflow.Runner{MaxConcurrent: 1, Clock: sim}
+	runner := &workflow.Runner{MaxConcurrent: 1}
 	res, runErr := memo.Run(context.Background(), runner, wf, bodies, fingerprints)
 	if jerr := journal.Err(); jerr != nil {
 		return jerr

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	prng "repro/internal/rng"
 	"testing"
-
-	"repro/internal/par"
 )
 
-// BenchmarkPipeline measures the ParSoDA filter→map→group pipeline.
+// BenchmarkPipeline measures the ParSoDA map→group pipeline.
 func BenchmarkPipeline(b *testing.B) {
 	xs := make([]int, 50000)
 	for i := range xs {
@@ -18,7 +16,6 @@ func BenchmarkPipeline(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			p := NewPipeline[int, int](workers).
-				Filter(func(x int) bool { return x%3 != 0 }).
 				Map(func(x int) (int, error) { return x * x, nil }).
 				GroupBy(func(m int) string { return fmt.Sprint(m % 16) })
 			b.ResetTimer()
@@ -28,41 +25,6 @@ func BenchmarkPipeline(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkKMeansSeq/Par measure clustering on 50k points with one worker
-// vs the full worker pool (bit-identical outputs; see the property test).
-func BenchmarkKMeansSeq(b *testing.B) { benchKMeans(b, par.Workers(1)) }
-func BenchmarkKMeansPar(b *testing.B) { benchKMeans(b) }
-
-func benchKMeans(b *testing.B, opts ...par.Option) {
-	rng := prng.New(1)
-	pts := make([]Point, 50000)
-	for i := range pts {
-		pts[i] = Point{rng.Float64() * 100, rng.Float64() * 100}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := KMeans(pts, 8, 30, prng.New(2), opts...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFindHotspots measures CHD-style multi-density detection.
-func BenchmarkFindHotspots(b *testing.B) {
-	rng := prng.New(3)
-	pts := make([]Point, 20000)
-	for i := range pts {
-		pts[i] = Point{rng.Float64() * 1000, rng.Float64() * 1000}
-	}
-	cfg := HotspotConfig{CellSize: 10, RegionCells: 10, ThresholdFactor: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FindHotspots(pts, cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -1,6 +1,5 @@
 // Package bigdata implements the Big-Data-management substrate (Section 2.5
-// of the paper): a ParSoDA-style structured parallel data-analysis pipeline,
-// k-means and CHD-style multi-density hotspot clustering (clustering.go),
+// of the paper): a ParSoDA-style structured parallel data-analysis pipeline
 // and a BLEST-ML-style learned block-size estimator for data partitioning
 // (blestml.go).
 package bigdata
@@ -13,14 +12,13 @@ import (
 	"sync"
 )
 
-// Pipeline is a ParSoDA-style analysis: data flows through optional
-// filtering and mapping phases, is partitioned into groups, and each group
-// is reduced — with the map phase executed by a worker pool, mirroring
-// ParSoDA's parallel execution on HPC systems.
+// Pipeline is a ParSoDA-style analysis: data flows through a mapping
+// phase, is partitioned into groups, and each group is reduced — with the
+// map phase executed by a worker pool, mirroring ParSoDA's parallel
+// execution on HPC systems.
 //
 // The type parameters are the input item type I and the mapped item type M.
 type Pipeline[I, M any] struct {
-	filters []func(I) bool
 	mapper  func(I) (M, error)
 	keyFn   func(M) string
 	workers int
@@ -33,13 +31,6 @@ func NewPipeline[I, M any](workers int) *Pipeline[I, M] {
 		workers = 1
 	}
 	return &Pipeline[I, M]{workers: workers}
-}
-
-// Filter appends a filtering predicate; items failing any predicate are
-// dropped before mapping.
-func (p *Pipeline[I, M]) Filter(pred func(I) bool) *Pipeline[I, M] {
-	p.filters = append(p.filters, pred)
-	return p
 }
 
 // Map sets the mapping function (required).
@@ -60,8 +51,8 @@ type Group[M any] struct {
 	Items []M
 }
 
-// Run executes the pipeline over items: filter (sequential, cheap), map
-// (parallel worker pool, input order preserved), group by key. Groups are
+// Run executes the pipeline over items: map (parallel worker pool, input
+// order preserved), group by key. Groups are
 // returned sorted by key. The first mapping error aborts the run.
 func (p *Pipeline[I, M]) Run(ctx context.Context, items []I) ([]Group[M], error) {
 	if p.mapper == nil {
@@ -70,33 +61,19 @@ func (p *Pipeline[I, M]) Run(ctx context.Context, items []I) ([]Group[M], error)
 	if p.keyFn == nil {
 		return nil, errors.New("bigdata: pipeline has no GroupBy phase")
 	}
-	// Filtering phase.
-	var kept []I
-	for _, it := range items {
-		ok := true
-		for _, f := range p.filters {
-			if !f(it) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			kept = append(kept, it)
-		}
-	}
 	// Parallel map phase over index ranges.
-	mapped := make([]M, len(kept))
+	mapped := make([]M, len(items))
 	errs := make([]error, p.workers)
 	var wg sync.WaitGroup
-	chunk := (len(kept) + p.workers - 1) / p.workers
+	chunk := (len(items) + p.workers - 1) / p.workers
 	for w := 0; w < p.workers; w++ {
 		lo := w * chunk
-		if lo >= len(kept) {
+		if lo >= len(items) {
 			break
 		}
 		hi := lo + chunk
-		if hi > len(kept) {
-			hi = len(kept)
+		if hi > len(items) {
+			hi = len(items)
 		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
@@ -106,7 +83,7 @@ func (p *Pipeline[I, M]) Run(ctx context.Context, items []I) ([]Group[M], error)
 					errs[w] = ctx.Err()
 					return
 				}
-				m, err := p.mapper(kept[i])
+				m, err := p.mapper(items[i])
 				if err != nil {
 					errs[w] = fmt.Errorf("bigdata: mapping item %d: %w", i, err)
 					return

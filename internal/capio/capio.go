@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -29,7 +28,6 @@ type file struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	chunks [][]byte
-	size   int
 	closed bool
 }
 
@@ -76,31 +74,6 @@ func (s *Store) Open(path string) (*Reader, error) {
 	return &Reader{f: f}, nil
 }
 
-// List returns the stored paths, sorted.
-func (s *Store) List() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.files))
-	for p := range s.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns a file's current committed size.
-func (s *Store) Size(path string) (int, error) {
-	s.mu.Lock()
-	f, ok := s.files[path]
-	s.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("capio: %q does not exist", path)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.size, nil
-}
-
 // Writer is the producer-side handle.
 type Writer struct {
 	f    *file
@@ -117,7 +90,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 	}
 	chunk := append([]byte(nil), p...)
 	w.f.chunks = append(w.f.chunks, chunk)
-	w.f.size += len(chunk)
 	w.f.cond.Broadcast()
 	return len(p), nil
 }

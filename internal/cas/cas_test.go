@@ -3,11 +3,13 @@ package cas
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -271,9 +273,9 @@ func TestMemoColdThenWarm(t *testing.T) {
 			var executed atomic.Int64
 			wf := diamond()
 			bodies := countingBodies(&executed)
-			fp := UniformFingerprint(wf, "v1")
+			fp := uniform(wf, "v1")
 			m := &Memo{Store: st, Clock: clock.NewSim(1)}
-			r := &workflow.Runner{Clock: clock.NewSim(1)}
+			r := &workflow.Runner{}
 
 			cold, err := m.Run(context.Background(), r, wf, bodies, fp)
 			if err != nil {
@@ -320,8 +322,8 @@ func TestStepKeyStability(t *testing.T) {
 			}
 		}
 		m := &Memo{Store: st, Clock: clock.NewSim(1)}
-		r := &workflow.Runner{MaxConcurrent: maxConcurrent, Clock: clock.NewSim(1)}
-		out, err := m.Run(context.Background(), r, wf, bodies, UniformFingerprint(wf, fp))
+		r := &workflow.Runner{MaxConcurrent: maxConcurrent}
+		out, err := m.Run(context.Background(), r, wf, bodies, uniform(wf, fp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,8 +426,8 @@ func TestFaultResume(t *testing.T) {
 	j := NewJournal(jf)
 	m := &Memo{Store: st, Clock: clock.NewSim(1), Journal: j, RunID: "r1"}
 	// The chain forces a and b to complete before c faults; d is poisoned.
-	r := &workflow.Runner{MaxConcurrent: 1, Clock: clock.NewSim(1)}
-	out, err := m.Run(context.Background(), r, wf, bodies, UniformFingerprint(wf, "v1"))
+	r := &workflow.Runner{MaxConcurrent: 1}
+	out, err := m.Run(context.Background(), r, wf, bodies, uniform(wf, "v1"))
 	if err == nil {
 		t.Fatal("fault did not surface")
 	}
@@ -466,7 +468,7 @@ func TestFaultResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := &Memo{Store: st2, Clock: clock.NewSim(1), Resume: completed, RunID: "r2"}
-	out2, err := m2.Run(context.Background(), r, wf, bodies, UniformFingerprint(wf, "v1"))
+	out2, err := m2.Run(context.Background(), r, wf, bodies, uniform(wf, "v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,21 +492,28 @@ func TestJournalDeterministicUnderSim(t *testing.T) {
 		st := NewMemStore()
 		var executed atomic.Int64
 		wf := diamond()
-		j := NewJournal(nil)
-		m := &Memo{Store: st, Clock: clock.NewSim(7), Journal: j, RunID: "r"}
-		r := &workflow.Runner{Clock: clock.NewSim(7)} // concurrent runner
+		var buf bytes.Buffer
+		m := &Memo{Store: st, Clock: clock.NewSim(7), Journal: NewJournal(&buf), RunID: "r"}
+		r := &workflow.Runner{} // concurrent runner
 		if _, err := m.Run(context.Background(), r, wf, countingBodies(&executed), nil); err != nil {
 			t.Fatal(err)
 		}
-		var sb strings.Builder
-		// Canonical rendering is independent of completion interleaving,
-		// but Seq is not — mask it like a reader diffing runs would.
-		entries := j.Entries()
-		for i := range entries {
-			entries[i].Seq = 0
-		}
-		if err := WriteCanonical(&sb, entries); err != nil {
+		entries, err := ReadJournal(&buf)
+		if err != nil {
 			t.Fatal(err)
+		}
+		// Sorted by step, the journal is independent of completion
+		// interleaving, but Seq is not — mask it like a reader diffing
+		// runs would.
+		sort.Slice(entries, func(a, b int) bool { return entries[a].Step < entries[b].Step })
+		var sb strings.Builder
+		for _, e := range entries {
+			e.Seq = 0
+			data, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb.Write(append(data, '\n'))
 		}
 		return sb.String()
 	}
@@ -558,10 +567,10 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// A failing journal writer must surface via Err without corrupting the
-// in-memory entries — and once the stream has failed, no further bytes may
-// be sent to it (a short write may have torn its last line; piling more
-// lines on top guarantees interior corruption that ReadJournal rejects).
+// A failing journal writer must surface via Err — and once the stream has
+// failed, no further bytes may be sent to it (a short write may have torn
+// its last line; piling more lines on top guarantees interior corruption
+// that ReadJournal rejects).
 func TestJournalFailingWriter(t *testing.T) {
 	fw := &failingWriter{remaining: 3}
 	j := NewJournal(fw)
@@ -571,42 +580,45 @@ func TestJournalFailingWriter(t *testing.T) {
 	if j.Err() == nil {
 		t.Fatal("write failure not surfaced via Err")
 	}
-	entries := j.Entries()
-	if len(entries) != 10 {
-		t.Fatalf("in-memory entries = %d, want 10 (writer failure must not drop records)", len(entries))
-	}
-	for i, e := range entries {
-		if e.Seq != i+1 || e.Step != fmt.Sprintf("s%d", i) {
-			t.Fatalf("entry %d corrupted: %+v", i, e)
-		}
-	}
 	if fw.afterFailure != 0 {
 		t.Errorf("%d writes attempted on the broken stream after the first failure", fw.afterFailure)
 	}
 }
 
-// Concurrent appends racing a writer failure: every entry still lands in
-// memory with a unique Seq, the first error is pinned, and the broken
-// stream receives nothing further.
+// Concurrent appends: every entry gets a unique Seq, and when the writer
+// fails the first error is pinned and the broken stream receives nothing
+// further.
 func TestJournalConcurrentAppendFailingWriter(t *testing.T) {
+	appendAll := func(j *Journal) {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					j.Append(Entry{Run: "r", Workflow: "w", Step: fmt.Sprintf("g%d-s%d", g, i), Status: StatusExecuted})
+				}
+			}()
+		}
+		wg.Wait()
+	}
 	fw := &failingWriter{remaining: 5}
 	j := NewJournal(fw)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				j.Append(Entry{Run: "r", Workflow: "w", Step: fmt.Sprintf("g%d-s%d", g, i), Status: StatusExecuted})
-			}
-		}()
-	}
-	wg.Wait()
+	appendAll(j)
 	if j.Err() == nil {
 		t.Fatal("write failure not surfaced")
 	}
-	entries := j.Entries()
+	if fw.afterFailure != 0 {
+		t.Errorf("%d writes reached the broken stream after the first failure", fw.afterFailure)
+	}
+
+	var buf bytes.Buffer
+	appendAll(NewJournal(&buf))
+	entries, err := ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(entries) != 400 {
 		t.Fatalf("entries = %d, want 400", len(entries))
 	}
@@ -622,9 +634,6 @@ func TestJournalConcurrentAppendFailingWriter(t *testing.T) {
 			t.Fatalf("Seq %d missing", s)
 		}
 	}
-	if fw.afterFailure != 0 {
-		t.Errorf("%d writes reached the broken stream after the first failure", fw.afterFailure)
-	}
 }
 
 func TestMemoMissingBody(t *testing.T) {
@@ -639,56 +648,12 @@ func TestMemoMissingBody(t *testing.T) {
 	}
 }
 
-// A journal that hit a write failure resumes cleanly on a fresh stream:
-// Reopen replays the complete in-memory record onto the new writer, clears
-// the pinned error, and subsequent appends stream again — the recovery path
-// the runpack export log leans on.
-func TestJournalReopenAfterError(t *testing.T) {
-	fw := &failingWriter{remaining: 2}
-	j := NewJournal(fw)
-	for i := 0; i < 5; i++ {
-		j.Append(Entry{Run: "r", Workflow: "w", Step: fmt.Sprintf("s%d", i), Key: KeyOf([]byte{byte(i)}), Status: StatusExecuted})
+// uniform assigns fp to every step of wf: one code version for the whole
+// workflow.
+func uniform(wf *workflow.Workflow, fp string) map[string]string {
+	out := make(map[string]string, wf.Len())
+	for _, s := range wf.Steps() {
+		out[s.ID] = fp
 	}
-	if j.Err() == nil {
-		t.Fatal("write failure not surfaced")
-	}
-
-	var fresh bytes.Buffer
-	if err := j.Reopen(&fresh); err != nil {
-		t.Fatalf("Reopen: %v", err)
-	}
-	if j.Err() != nil {
-		t.Fatalf("Err after Reopen: %v", j.Err())
-	}
-	j.Append(Entry{Run: "r", Workflow: "w", Step: "s5", Key: KeyOf([]byte{5}), Status: StatusExecuted})
-
-	// The new stream is a complete record: all 5 replayed + 1 appended.
-	entries, err := ReadJournal(&fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 6 {
-		t.Fatalf("reopened stream holds %d entries, want 6", len(entries))
-	}
-	for i, e := range entries {
-		if e.Seq != i+1 || e.Step != fmt.Sprintf("s%d", i) {
-			t.Fatalf("entry %d wrong after replay: %+v", i, e)
-		}
-	}
-	if fw.afterFailure != 0 {
-		t.Errorf("%d writes reached the old broken stream after Reopen", fw.afterFailure)
-	}
-
-	// Reopen onto a failing stream pins the replay error again.
-	if err := j.Reopen(&failingWriter{remaining: 1}); err == nil || j.Err() == nil {
-		t.Fatal("replay failure not surfaced")
-	}
-	// And a nil writer turns the journal in-memory only, error cleared.
-	if err := j.Reopen(nil); err != nil || j.Err() != nil {
-		t.Fatal("nil Reopen should clear the error")
-	}
-	j.Append(Entry{Run: "r", Workflow: "w", Step: "s6", Status: StatusExecuted})
-	if got := len(j.Entries()); got != 7 {
-		t.Fatalf("entries = %d, want 7", got)
-	}
+	return out
 }

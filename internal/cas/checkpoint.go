@@ -9,8 +9,7 @@ package cas
 //
 // Timestamps are read from the Memo's injected clock (clock.Seconds), so a
 // run on clock.Sim writes a byte-identical journal on every execution —
-// with a sequential runner the line order is deterministic too, and
-// Canonical restores a deterministic order for concurrent runs.
+// with a sequential runner the line order is deterministic too.
 
 import (
 	"bufio"
@@ -18,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -36,31 +34,29 @@ type Entry struct {
 	AtS float64 `json:"at_s"`
 }
 
-// Journal collects checkpoint entries and (when constructed with a writer)
+// Journal numbers checkpoint entries and (when constructed with a writer)
 // streams each one as a JSON line immediately on append — a crashed run
 // leaves every completed step on record.
 type Journal struct {
-	mu      sync.Mutex
-	w       io.Writer
-	entries []Entry
-	err     error // first write error, surfaced by Err
+	mu  sync.Mutex
+	w   io.Writer
+	seq int   // entries appended so far
+	err error // first write error, surfaced by Err
 }
 
-// NewJournal returns a journal streaming entries to w (nil = in-memory
-// only).
+// NewJournal returns a journal streaming entries to w (nil = entries are
+// numbered and dropped).
 func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
 
-// Append records an entry, assigning its sequence number. The in-memory
-// record always grows — a failing writer never corrupts or drops entries —
-// but once a write has failed the underlying stream is suspect (a short
-// write may have torn its last line), so no further bytes are sent to it;
-// the first error stays pinned for Err until the caller swaps in a fresh
-// stream with Reopen (or re-journals from Entries via WriteCanonical).
+// Append records an entry, assigning its sequence number. Once a write has
+// failed the underlying stream is suspect (a short write may have torn its
+// last line), so no further bytes are sent to it and the first error stays
+// pinned for Err.
 func (j *Journal) Append(e Entry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e.Seq = len(j.entries) + 1
-	j.entries = append(j.entries, e)
+	j.seq++
+	e.Seq = j.seq
 	if j.w == nil || j.err != nil {
 		return
 	}
@@ -74,80 +70,11 @@ func (j *Journal) Append(e Entry) {
 	}
 }
 
-// Reopen resumes streaming onto a fresh writer after a write failure: the
-// journal replays every recorded entry onto w in append order — the new
-// stream is a complete record, not a suffix of one — then clears the pinned
-// error so subsequent Appends stream again. The in-memory record is
-// untouched either way; a nil w turns the journal in-memory only. Returns
-// the first replay error (also pinned for Err, exactly like an Append
-// failure on the new stream).
-func (j *Journal) Reopen(w io.Writer) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.w = w
-	j.err = nil
-	if w == nil {
-		return nil
-	}
-	for _, e := range j.entries {
-		data, err := json.Marshal(e)
-		if err == nil {
-			data = append(data, '\n')
-			_, err = w.Write(data)
-		}
-		if err != nil {
-			j.err = err
-			return err
-		}
-	}
-	return nil
-}
-
 // Err returns the first write error encountered by Append (nil if none).
 func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// Entries returns a copy of the recorded entries in append order.
-func (j *Journal) Entries() []Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]Entry(nil), j.entries...)
-}
-
-// Canonical sorts entries into the deterministic order (Workflow, Step,
-// Seq) — independent of the completion interleaving of a concurrent run.
-func Canonical(entries []Entry) []Entry {
-	out := append([]Entry(nil), entries...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Workflow != b.Workflow {
-			return a.Workflow < b.Workflow
-		}
-		if a.Step != b.Step {
-			return a.Step < b.Step
-		}
-		return a.Seq < b.Seq
-	})
-	return out
-}
-
-// WriteCanonical renders entries in canonical order as JSON lines — the
-// byte-stable journal artifact for goldens and diffs.
-func WriteCanonical(w io.Writer, entries []Entry) error {
-	for _, e := range Canonical(entries) {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ReadJournal parses a JSON-lines journal. A malformed *final* line (a

@@ -283,13 +283,3 @@ func (m *Memo) journalAppend(c clock.Clock, wfName, stepID string, artifact Key,
 		AtS:      clock.Seconds(c.Now()),
 	})
 }
-
-// UniformFingerprint returns a fingerprint map assigning fp to every step
-// of wf — the common case of one code version for the whole workflow.
-func UniformFingerprint(wf *workflow.Workflow, fp string) map[string]string {
-	out := make(map[string]string, wf.Len())
-	for _, s := range wf.Steps() {
-		out[s.ID] = fp
-	}
-	return out
-}

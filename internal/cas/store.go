@@ -256,9 +256,6 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return d, nil
 }
 
-// Dir returns the store's base directory.
-func (d *DiskStore) Dir() string { return d.base }
-
 func (d *DiskStore) objectPath(k Key) string {
 	return filepath.Join(d.base, "objects", string(k[:2]), string(k[2:]))
 }

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -150,16 +149,6 @@ func (c *Catalog) Application(id string) (*Application, error) {
 	return nil, fmt.Errorf("catalog: unknown application %q", id)
 }
 
-// Institution returns the institution with the given ID, or an error.
-func (c *Catalog) Institution(id string) (*Institution, error) {
-	for i := range c.Institutions {
-		if c.Institutions[i].ID == id {
-			return &c.Institutions[i], nil
-		}
-	}
-	return nil, fmt.Errorf("catalog: unknown institution %q", id)
-}
-
 // ToolsByDirection returns the tools whose primary direction is d, in catalog
 // order (which matches the paper's Table 1 column order).
 func (c *Catalog) ToolsByDirection(d Direction) []Tool {
@@ -197,32 +186,6 @@ func (c *Catalog) DirectionsCovered(id string) []Direction {
 		}
 	}
 	return out
-}
-
-// SelectionsOf returns the application IDs that selected the given tool,
-// sorted by application ID.
-func (c *Catalog) SelectionsOf(tool string) []string {
-	var out []string
-	for _, a := range c.Applications {
-		for _, t := range a.SelectedTools {
-			if t == tool {
-				out = append(out, a.ID)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TotalSelections returns the total number of (application, tool) selection
-// pairs — the number of checkmarks in Table 2.
-func (c *Catalog) TotalSelections() int {
-	n := 0
-	for _, a := range c.Applications {
-		n += len(a.SelectedTools)
-	}
-	return n
 }
 
 // Validation errors.

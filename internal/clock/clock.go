@@ -7,9 +7,9 @@
 // The point is the reproducibility contract DESIGN.md §4 promises: run
 // artifacts such as provenance JSON and metric expositions must be
 // byte-identical across runs and worker counts. A Sim clock makes every
-// timestamp a pure function of the seed and the explicit Advance/Sleep
-// calls, so observability output becomes a deterministic artifact instead
-// of a wall-clock diff on every execution — the nondeterministic-artifact
+// timestamp a pure function of the explicit Advance/Sleep calls, so
+// observability output becomes a deterministic artifact instead of a
+// wall-clock diff on every execution — the nondeterministic-artifact
 // problem both Diercks et al. and Tutko et al. flag as the main obstacle to
 // reproducible workflow studies.
 package clock
@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/rng"
 )
 
 // Epoch is the origin of simulated time: Sim clocks start here, and the
@@ -85,16 +83,14 @@ func FromSeconds(s float64) time.Time {
 // Monotonicity is guaranteed: the clock never moves backwards (negative
 // advances are programmer errors and panic).
 type Sim struct {
-	mu        sync.Mutex
-	now       time.Time
-	seed      int64
-	jitterMax time.Duration
+	mu  sync.Mutex
+	now time.Time
 }
 
-// NewSim returns a Sim at Epoch. The seed parameterizes WorkDuration's
-// jitter stream; two Sims with the same seed model identical workloads.
+// NewSim returns a Sim at Epoch. The clock draws no randomness, so the seed
+// does not change what it reads: two Sims advanced alike read alike.
 func NewSim(seed int64) *Sim {
-	return &Sim{now: Epoch, seed: seed}
+	return &Sim{now: Epoch}
 }
 
 // Now implements Clock.
@@ -125,39 +121,4 @@ func (s *Sim) Advance(d time.Duration) {
 	s.mu.Lock()
 	s.now = s.now.Add(d)
 	s.mu.Unlock()
-}
-
-// SetJitter sets the maximum modeled work duration returned by
-// WorkDuration. Zero (the default) disables jitter.
-func (s *Sim) SetJitter(max time.Duration) {
-	if max < 0 {
-		panic(fmt.Sprintf("clock: negative jitter %v", max))
-	}
-	s.mu.Lock()
-	s.jitterMax = max
-	s.mu.Unlock()
-}
-
-// WorkDuration returns a deterministic pseudo-random duration in
-// [0, jitterMax) for the given key — the seedable jitter used to model work
-// durations (e.g. a step body advancing the clock by its own modeled cost).
-// The value depends only on (seed, key): never on call order, goroutine, or
-// worker count, which is what keeps jittered simulations reproducible under
-// parallelism.
-func (s *Sim) WorkDuration(key string) time.Duration {
-	s.mu.Lock()
-	max := s.jitterMax
-	seed := s.seed
-	s.mu.Unlock()
-	if max <= 0 {
-		return 0
-	}
-	// FNV-1a over the key, folded with the seed through rng.Split (same
-	// construction as par.SplitSeed).
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return time.Duration(rng.Split(uint64(seed), h) % uint64(max))
 }

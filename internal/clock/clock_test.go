@@ -58,43 +58,8 @@ func TestOr(t *testing.T) {
 	}
 }
 
-// WorkDuration depends only on (seed, key): stable across calls, different
-// across keys and seeds, always inside [0, max).
-func TestWorkDurationDeterministic(t *testing.T) {
-	a, b := NewSim(7), NewSim(7)
-	a.SetJitter(time.Second)
-	b.SetJitter(time.Second)
-	for _, key := range []string{"ingest", "train", "publish"} {
-		d1, d2 := a.WorkDuration(key), b.WorkDuration(key)
-		if d1 != d2 {
-			t.Errorf("key %q: %v vs %v across same-seed sims", key, d1, d2)
-		}
-		if d1 < 0 || d1 >= time.Second {
-			t.Errorf("key %q: %v out of [0, 1s)", key, d1)
-		}
-		if d1 != a.WorkDuration(key) {
-			t.Errorf("key %q: unstable across calls", key)
-		}
-	}
-	if a.WorkDuration("ingest") == a.WorkDuration("train") {
-		t.Error("distinct keys collided (suspicious for a 64-bit hash)")
-	}
-	other := NewSim(8)
-	other.SetJitter(time.Second)
-	if other.WorkDuration("ingest") == a.WorkDuration("ingest") {
-		t.Error("distinct seeds produced identical jitter")
-	}
-}
-
-func TestWorkDurationZeroWithoutJitter(t *testing.T) {
-	if d := NewSim(1).WorkDuration("any"); d != 0 {
-		t.Errorf("jitter disabled but WorkDuration = %v", d)
-	}
-}
-
 func TestSimConcurrentUse(t *testing.T) {
 	s := NewSim(1)
-	s.SetJitter(time.Millisecond)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -103,7 +68,6 @@ func TestSimConcurrentUse(t *testing.T) {
 			for j := 0; j < 500; j++ {
 				s.Advance(time.Microsecond)
 				_ = s.Now()
-				_ = s.WorkDuration("k")
 				_ = s.Since(Epoch)
 			}
 		}()
@@ -120,25 +84,5 @@ func TestRealClockMovesForward(t *testing.T) {
 	c.Sleep(time.Millisecond)
 	if c.Since(t0) <= 0 {
 		t.Error("real clock did not move")
-	}
-}
-
-// WorkDuration's jitter is a pure function of (seed, key): pin a few values
-// under a one-second jitter bound.
-func TestWorkDurationPinned(t *testing.T) {
-	for _, c := range []struct {
-		seed int64
-		key  string
-		want time.Duration
-	}{
-		{1, "", 679211815},
-		{1, "train", 860991764},
-		{-7, "ingest", 378869459},
-	} {
-		s := NewSim(c.seed)
-		s.SetJitter(time.Second)
-		if got := s.WorkDuration(c.key); got != c.want {
-			t.Errorf("NewSim(%d).WorkDuration(%q) = %d, want %d", c.seed, c.key, got, c.want)
-		}
 	}
 }

@@ -44,47 +44,26 @@ func BenchmarkEngineMillionEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginePushPop measures the steady-state schedule+fire cycle: the
-// arena and heap are pre-grown, so the loop must show 0 allocs/op.
+// BenchmarkEnginePushPop measures the steady-state fire+schedule cycle: a
+// standing population of 4096 pending events, each rescheduling itself
+// when it fires until b.N events have been rescheduled. The arena and heap
+// are pre-grown, so the run must show 0 allocs/op.
 func BenchmarkEnginePushPop(b *testing.B) {
 	e := NewEngine()
-	e.Handler = func(int64) {}
-	// Pre-grow: a standing population of 4096 pending events.
+	remaining := 0
+	e.Handler = func(tag int64) {
+		if remaining > 0 {
+			remaining--
+			e.MustScheduleTag(1, tag)
+		}
+	}
 	for i := 0; i < 4096; i++ {
 		e.MustScheduleTag(float64(i), int64(i))
 	}
+	remaining = b.N
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.MustScheduleTag(1, int64(i))
-		e.Step()
-	}
-}
-
-// BenchmarkEngineCancelHeavy measures the bulk-cancel path: schedule 4096
-// events, cancel every second one, drain. Compaction keeps the drain from
-// re-popping dead roots one at a time.
-func BenchmarkEngineCancelHeavy(b *testing.B) {
-	e := NewEngine()
-	e.Handler = func(int64) {}
-	ids := make([]EventID, 4096)
-	cycle := func() {
-		e.Reset()
-		for j := range ids {
-			ids[j] = e.MustScheduleTag(float64(j%97), int64(j))
-		}
-		for j := 0; j < len(ids); j += 2 {
-			e.Cancel(ids[j])
-		}
-		if err := e.RunAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// As in BenchmarkEngineMillionEvents: grow the arena before timing.
-	cycle()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
+	if err := e.RunAll(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -93,28 +93,6 @@ func (n *Node) Utilization() float64 {
 	return float64(n.reserved) / float64(n.Cores)
 }
 
-// PowerW returns the instantaneous power draw at utilization u (clamped to
-// [0,1]) under the linear model.
-func (n *Node) PowerW(u float64) float64 {
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
-	return n.IdleW + u*(n.MaxW-n.IdleW)
-}
-
-// EnergyJ returns the energy in joules consumed over d seconds at
-// utilization u.
-func (n *Node) EnergyJ(u, d float64) float64 { return n.PowerW(u) * d }
-
-// CarbonG returns grams of CO2 for consuming e joules at this node.
-func (n *Node) CarbonG(e float64) float64 {
-	kWh := e / 3.6e6
-	return kWh * n.CarbonIntensity
-}
-
 // ExecSeconds returns the time to execute work gflop on cores cores of this
 // node, assuming perfect intra-node scaling (callers wanting Amdahl effects
 // apply them on top).
@@ -142,10 +120,9 @@ func (l Link) TransferSeconds(size float64) float64 {
 	return l.LatencyS + size/l.BandwidthBps
 }
 
-// Topology holds pairwise links. Lookups fall back from the (from,to) pair
-// to the region pair to a default. Same-node transfers are free.
+// Topology holds region-pair links. Lookups fall back from the region pair
+// to a default. Same-node transfers are free.
 type Topology struct {
-	nodeLinks   map[[2]string]Link
 	regionLinks map[[2]string]Link
 	defaultLink Link
 }
@@ -153,16 +130,9 @@ type Topology struct {
 // NewTopology returns a topology with the given default link.
 func NewTopology(def Link) *Topology {
 	return &Topology{
-		nodeLinks:   map[[2]string]Link{},
 		regionLinks: map[[2]string]Link{},
 		defaultLink: def,
 	}
-}
-
-// SetNodeLink sets the link between two specific nodes (both directions).
-func (t *Topology) SetNodeLink(a, b string, l Link) {
-	t.nodeLinks[[2]string{a, b}] = l
-	t.nodeLinks[[2]string{b, a}] = l
 }
 
 // SetRegionLink sets the link between two regions (both directions).
@@ -175,9 +145,6 @@ func (t *Topology) SetRegionLink(a, b string, l Link) {
 func (t *Topology) LinkBetween(a, b *Node) Link {
 	if a.ID == b.ID {
 		return Link{} // zero latency, infinite-bandwidth treated as free
-	}
-	if l, ok := t.nodeLinks[[2]string{a.ID, b.ID}]; ok {
-		return l
 	}
 	if l, ok := t.regionLinks[[2]string{a.Region, b.Region}]; ok {
 		return l
@@ -289,25 +256,6 @@ func (inf *Infrastructure) TotalCores() int {
 		t += n.Cores
 	}
 	return t
-}
-
-// FreeCores returns the aggregate free core count.
-func (inf *Infrastructure) FreeCores() int {
-	t := 0
-	for _, n := range inf.Nodes() {
-		t += n.FreeCores()
-	}
-	return t
-}
-
-// IdlePowerW returns the total idle power draw of all nodes, the quantity
-// that consolidation-based energy policies try to cut by powering nodes off.
-func (inf *Infrastructure) IdlePowerW() float64 {
-	var p float64
-	for _, n := range inf.Nodes() {
-		p += n.IdleW
-	}
-	return p
 }
 
 // SortedByFreeCores returns node IDs ordered by free cores descending

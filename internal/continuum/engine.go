@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
-
-	"repro/internal/clock"
 )
 
 // This file implements the discrete-event simulation core used by the
@@ -20,37 +17,16 @@ import (
 // records plus a free-list: Push/Pop move int32 slot indices, never boxed
 // pointers, so steady-state scheduling is allocation-free and the hot loop
 // walks a contiguous slab instead of chasing heap-allocated event objects.
-// Cancellation is lazy (a dead mark on the record) with a compaction pass
-// once dead events outnumber live ones, so cancel-heavy workloads cannot
-// degrade Run into a pop-one-dead-root-at-a-time crawl. The (at, seq) key
-// is a total order, which makes any internal heap arrangement — including
-// post-compaction heapify — observationally equivalent.
+// The (at, seq) key is a total order, which makes any internal heap
+// arrangement observationally equivalent.
 
-// event is one arena record. Records are recycled through the free list;
-// gen increments on every recycle so stale EventIDs can never cancel the
-// slot's next tenant.
+// event is one arena record. Records are recycled through the free list.
 type event struct {
-	at   float64
-	seq  uint64 // tie-breaker preserving scheduling order at equal times
-	gen  uint64 // incremented on recycle; guards stale EventIDs
-	fn   func() // nil for tag events dispatched through Engine.Handler
-	tag  int64
-	dead bool
+	at  float64
+	seq uint64 // tie-breaker preserving scheduling order at equal times
+	fn  func() // nil for tag events dispatched through Engine.Handler
+	tag int64
 }
-
-// EventID identifies a scheduled event for cancellation. It captures the
-// owning engine, the arena slot and the slot's generation, so an ID held
-// past its event's firing (or across Reset) can never cancel a recycled
-// record. The zero EventID is invalid and never cancels anything.
-type EventID struct {
-	eng  *Engine
-	slot int32
-	gen  uint64
-}
-
-// compactMin is the heap size below which cancellation never triggers
-// compaction: tiny heaps drain dead roots essentially for free.
-const compactMin = 64
 
 // Engine is a deterministic discrete-event simulator.
 type Engine struct {
@@ -59,8 +35,6 @@ type Engine struct {
 	arena []event // slot-indexed records, grown on demand, never shrunk
 	heap  []int32 // binary heap of arena slots ordered by (at, seq)
 	free  []int32 // recycled slots available for reuse
-	live  int     // scheduled-and-not-(fired|cancelled) count: O(1) Pending
-	dead  int     // cancelled records still parked in the heap
 
 	// Handler dispatches events scheduled with ScheduleTag. Compiled
 	// simulators use tags instead of closures so that scheduling allocates
@@ -137,12 +111,9 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.arena) - 1)
 }
 
-// recycle returns a fired or discarded record to the free list. The
-// generation bump invalidates any EventID still pointing at this slot.
+// recycle returns a fired record to the free list.
 func (e *Engine) recycle(slot int32) {
-	ev := &e.arena[slot]
-	ev.gen++
-	ev.fn = nil
+	e.arena[slot].fn = nil
 	e.free = append(e.free, slot)
 }
 
@@ -161,9 +132,9 @@ func (e *Engine) popRoot() int32 {
 }
 
 // schedule is the shared slot-fill path behind Schedule and ScheduleTag.
-func (e *Engine) schedule(delay float64, fn func(), tag int64) (EventID, error) {
+func (e *Engine) schedule(delay float64, fn func(), tag int64) error {
 	if delay < 0 || math.IsNaN(delay) || math.IsInf(delay, 0) {
-		return EventID{}, fmt.Errorf("continuum: invalid delay %v", delay)
+		return fmt.Errorf("continuum: invalid delay %v", delay)
 	}
 	slot := e.alloc()
 	ev := &e.arena[slot]
@@ -171,95 +142,45 @@ func (e *Engine) schedule(delay float64, fn func(), tag int64) (EventID, error) 
 	ev.seq = e.seq
 	ev.fn = fn
 	ev.tag = tag
-	ev.dead = false
 	e.seq++
 	e.heap = append(e.heap, slot)
 	e.siftUp(len(e.heap) - 1)
-	e.live++
-	return EventID{eng: e, slot: slot, gen: ev.gen}, nil
+	return nil
 }
 
 // Schedule runs fn after delay seconds. Negative delays are errors.
-func (e *Engine) Schedule(delay float64, fn func()) (EventID, error) {
+func (e *Engine) Schedule(delay float64, fn func()) error {
 	if fn == nil {
-		return EventID{}, errors.New("continuum: nil event callback")
+		return errors.New("continuum: nil event callback")
 	}
 	return e.schedule(delay, fn, 0)
 }
 
 // MustSchedule is Schedule for callers with known-good delays; it panics on
 // programmer error.
-func (e *Engine) MustSchedule(delay float64, fn func()) EventID {
-	id, err := e.Schedule(delay, fn)
-	if err != nil {
+func (e *Engine) MustSchedule(delay float64, fn func()) {
+	if err := e.Schedule(delay, fn); err != nil {
 		panic(err)
 	}
-	return id
 }
 
 // ScheduleTag schedules a closure-free event: at fire time the engine calls
 // Handler(tag) instead of a per-event callback. This is the hot path for
 // compiled simulators, where one integer tag encodes the action and the
 // subject and scheduling must not allocate.
-func (e *Engine) ScheduleTag(delay float64, tag int64) (EventID, error) {
+func (e *Engine) ScheduleTag(delay float64, tag int64) error {
 	if e.Handler == nil {
-		return EventID{}, errors.New("continuum: ScheduleTag with nil Engine.Handler")
+		return errors.New("continuum: ScheduleTag with nil Engine.Handler")
 	}
 	return e.schedule(delay, nil, tag)
 }
 
 // MustScheduleTag is ScheduleTag that panics on programmer error.
-func (e *Engine) MustScheduleTag(delay float64, tag int64) EventID {
-	id, err := e.ScheduleTag(delay, tag)
-	if err != nil {
+func (e *Engine) MustScheduleTag(delay float64, tag int64) {
+	if err := e.ScheduleTag(delay, tag); err != nil {
 		panic(err)
 	}
-	return id
 }
-
-// Cancel prevents a scheduled event from firing. Cancelling an already-fired,
-// already-cancelled, or recycled event is a no-op returning false.
-func (e *Engine) Cancel(id EventID) bool {
-	if id.eng != e || id.slot < 0 || int(id.slot) >= len(e.arena) {
-		return false
-	}
-	ev := &e.arena[id.slot]
-	if ev.gen != id.gen || ev.dead {
-		return false
-	}
-	ev.dead = true
-	e.live--
-	e.dead++
-	// Compact once dead records outnumber live ones: cancel-heavy
-	// workloads would otherwise pay a pop-and-recycle per dead event at
-	// the root of every Run/Step peek.
-	if e.dead > len(e.heap)/2 && len(e.heap) >= compactMin {
-		e.compact()
-	}
-	return true
-}
-
-// compact removes every dead record from the heap in one pass and restores
-// the heap property bottom-up. Safe for determinism: (at, seq) is a total
-// order, so pop order is independent of internal arrangement.
-func (e *Engine) compact() {
-	h := e.heap[:0]
-	for _, slot := range e.heap {
-		if e.arena[slot].dead {
-			e.recycle(slot)
-		} else {
-			h = append(h, slot)
-		}
-	}
-	e.heap = h
-	e.dead = 0
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
-// Pending returns the number of live scheduled events in O(1).
-func (e *Engine) Pending() int { return e.live }
 
 // fire pops the root, recycles its slot before dispatch (so the callback
 // can immediately reuse it) and invokes the callback or tag handler.
@@ -269,35 +190,11 @@ func (e *Engine) fire() {
 	e.now = ev.at
 	fn, tag := ev.fn, ev.tag
 	e.recycle(slot)
-	e.live--
 	if fn != nil {
 		fn()
 	} else {
 		e.Handler(tag)
 	}
-}
-
-// Step executes the next event, returning false when the queue is empty.
-func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		root := e.heap[0]
-		ev := &e.arena[root]
-		if ev.dead {
-			e.popRoot()
-			e.recycle(root)
-			e.dead--
-			continue
-		}
-		if ev.at < e.now {
-			// Heap invariant guarantees monotone time; this is unreachable
-			// unless memory is corrupted, so fail loudly.
-			panic(fmt.Sprintf("continuum: time went backwards (%v < %v)", ev.at, e.now))
-		}
-		e.Processed++
-		e.fire()
-		return true
-	}
-	return false
 }
 
 // Run executes events until the queue drains or until the given horizon
@@ -308,14 +205,7 @@ func (e *Engine) Run(until float64) error {
 	defer func() { e.Processed = processed }()
 	for len(e.heap) > 0 {
 		// Peek: the heap root is the earliest event by (at, seq).
-		root := e.heap[0]
-		ev := &e.arena[root]
-		if ev.dead {
-			e.popRoot()
-			e.recycle(root)
-			e.dead--
-			continue
-		}
+		ev := &e.arena[e.heap[0]]
 		if ev.at > until {
 			return nil
 		}
@@ -336,56 +226,14 @@ func (e *Engine) RunAll() error { return e.Run(math.Inf(1)) }
 
 // Reset returns the engine to time zero while keeping the arena and heap
 // capacity, so sweeps can reuse one engine per worker without re-growing.
-// Every arena slot's generation is bumped, so EventIDs held across a Reset
-// can never cancel events of the next run.
 func (e *Engine) Reset() {
 	e.heap = e.heap[:0]
 	e.free = e.free[:0]
 	for i := range e.arena {
-		e.arena[i].gen++
 		e.arena[i].fn = nil
 		e.free = append(e.free, int32(i))
 	}
 	e.now = 0
 	e.seq = 0
-	e.live = 0
-	e.dead = 0
 	e.Processed = 0
-}
-
-// engineClock exposes the engine's simulated time as a clock.Clock, mapping
-// sim-seconds onto time.Time as offsets from clock.Epoch. This unifies the
-// engine's ad-hoc float64 clock with the repository-wide clock contract, so
-// telemetry recorded during a simulation (spans, last-update stamps) carries
-// simulated — hence reproducible — timestamps.
-type engineClock struct{ e *Engine }
-
-// Now implements clock.Clock.
-func (c engineClock) Now() time.Time { return clock.FromSeconds(c.e.now) }
-
-// Since implements clock.Clock.
-func (c engineClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-
-// Sleep implements clock.Clock as a no-op: engine time advances only by
-// executing events, never by blocking.
-func (engineClock) Sleep(time.Duration) {}
-
-// Clock returns a clock.Clock view of the engine's simulated time. The view
-// is live: it reads the engine's current time on every call.
-func (e *Engine) Clock() clock.Clock { return engineClock{e} }
-
-// AdvanceTo moves the clock to t without executing anything, failing if
-// events before t are still pending (to prevent silently skipping work).
-func (e *Engine) AdvanceTo(t float64) error {
-	if t < e.now {
-		return fmt.Errorf("continuum: cannot rewind clock from %v to %v", e.now, t)
-	}
-	for _, slot := range e.heap {
-		ev := &e.arena[slot]
-		if !ev.dead && ev.at < t {
-			return fmt.Errorf("continuum: pending event at %v before advance target %v", ev.at, t)
-		}
-	}
-	e.now = t
-	return nil
 }

@@ -6,9 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
-
-	"repro/internal/clock"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -42,26 +39,17 @@ func TestEngineFIFOAtEqualTimes(t *testing.T) {
 }
 
 // Regression for the deterministic FIFO tie-break at equal timestamps: a
-// burst of same-time events interleaved with cancellations and events
-// scheduled from inside callbacks onto the same timestamp must fire in
-// monotonic sequence order. Parallel-driven scenario sweeps rely on this —
-// a candidate's trace must not depend on heap internals.
+// burst of same-time events and events scheduled from inside callbacks onto
+// the same timestamp must fire in monotonic sequence order. Parallel-driven
+// scenario sweeps rely on this — a candidate's trace must not depend on
+// heap internals.
 func TestEngineEqualTimeTieBreakRegression(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	// Ten events at t=5, scheduled out of interleaved cancellations.
-	var cancels []EventID
+	// Ten events at t=5.
 	for i := 0; i < 10; i++ {
 		i := i
-		id := e.MustSchedule(5, func() { order = append(order, fmt.Sprintf("a%d", i)) })
-		if i%3 == 0 {
-			cancels = append(cancels, id)
-		}
-	}
-	for _, id := range cancels {
-		if !e.Cancel(id) {
-			t.Fatal("cancel of pending event failed")
-		}
+		e.MustSchedule(5, func() { order = append(order, fmt.Sprintf("a%d", i)) })
 	}
 	// An earlier event that schedules two more events AT t=5 (zero delay at
 	// fire time would land earlier; use exact remaining delay).
@@ -72,7 +60,7 @@ func TestEngineEqualTimeTieBreakRegression(t *testing.T) {
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"a1", "a2", "a4", "a5", "a7", "a8", "nested-1", "nested-2"}
+	want := []string{"a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "nested-1", "nested-2"}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
@@ -80,31 +68,6 @@ func TestEngineEqualTimeTieBreakRegression(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("equal-time order = %v, want %v (diverges at %d)", order, want, i)
 		}
-	}
-}
-
-// A stale EventID (its event fired and its record was recycled through the
-// pool) must never cancel a later event that reuses the record.
-func TestEngineStaleEventIDCannotCancelRecycled(t *testing.T) {
-	e := NewEngine()
-	fired1 := false
-	id1 := e.MustSchedule(1, func() { fired1 = true })
-	if !e.Step() || !fired1 {
-		t.Fatal("first event did not fire")
-	}
-	// Schedule many events; one of them likely reuses id1's record.
-	fired2 := 0
-	for i := 0; i < 100; i++ {
-		e.MustSchedule(1, func() { fired2++ })
-	}
-	if e.Cancel(id1) {
-		t.Error("stale EventID cancelled something")
-	}
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if fired2 != 100 {
-		t.Errorf("fired %d of 100 events after stale cancel", fired2)
 	}
 }
 
@@ -127,36 +90,17 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineScheduleErrors(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.Schedule(-1, func() {}); err == nil {
+	if err := e.Schedule(-1, func() {}); err == nil {
 		t.Error("negative delay accepted")
 	}
-	if _, err := e.Schedule(math.NaN(), func() {}); err == nil {
+	if err := e.Schedule(math.NaN(), func() {}); err == nil {
 		t.Error("NaN delay accepted")
 	}
-	if _, err := e.Schedule(math.Inf(1), func() {}); err == nil {
+	if err := e.Schedule(math.Inf(1), func() {}); err == nil {
 		t.Error("Inf delay accepted")
 	}
-	if _, err := e.Schedule(1, nil); err == nil {
+	if err := e.Schedule(1, nil); err == nil {
 		t.Error("nil callback accepted")
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	id := e.MustSchedule(1, func() { fired = true })
-	if !e.Cancel(id) {
-		t.Error("cancel failed")
-	}
-	if e.Cancel(id) {
-		t.Error("double cancel succeeded")
-	}
-	_ = e.RunAll()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if e.Pending() != 0 {
-		t.Errorf("pending = %d", e.Pending())
 	}
 }
 
@@ -173,8 +117,8 @@ func TestEngineRunHorizon(t *testing.T) {
 	if len(fired) != 2 {
 		t.Errorf("fired = %v, want events at 1 and 2", fired)
 	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
+	if len(e.heap) != 2 {
+		t.Errorf("pending = %d, want 2", len(e.heap))
 	}
 	// Resume to completion.
 	if err := e.RunAll(); err != nil {
@@ -193,23 +137,6 @@ func TestEngineMaxEvents(t *testing.T) {
 	e.MustSchedule(1, loop)
 	if err := e.RunAll(); err == nil {
 		t.Error("self-perpetuating simulation should trip MaxEvents")
-	}
-}
-
-func TestEngineAdvanceTo(t *testing.T) {
-	e := NewEngine()
-	if err := e.AdvanceTo(10); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 10 {
-		t.Errorf("now = %v", e.Now())
-	}
-	if err := e.AdvanceTo(5); err == nil {
-		t.Error("rewind accepted")
-	}
-	e.MustSchedule(1, func() {})
-	if err := e.AdvanceTo(100); err == nil {
-		t.Error("advance past pending event accepted")
 	}
 }
 
@@ -259,37 +186,5 @@ func TestEngineDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("trace diverged at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-// The engine exposes its simulated time as a clock.Clock on the unified
-// Epoch timeline, and the view is live.
-func TestEngineClock(t *testing.T) {
-	e := NewEngine()
-	c := e.Clock()
-	if !c.Now().Equal(clock.Epoch) {
-		t.Errorf("engine clock starts at %v, want Epoch", c.Now())
-	}
-	var seen time.Time
-	e.MustSchedule(2.5, func() { seen = c.Now() })
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	want := clock.Epoch.Add(2500 * time.Millisecond)
-	if !seen.Equal(want) {
-		t.Errorf("clock inside event = %v, want %v", seen, want)
-	}
-	if !c.Now().Equal(want) {
-		t.Errorf("live view = %v, want %v", c.Now(), want)
-	}
-	if got := c.Since(clock.Epoch); got != 2500*time.Millisecond {
-		t.Errorf("Since = %v", got)
-	}
-	c.Sleep(time.Hour) // no-op: engine time advances only via events
-	if !c.Now().Equal(want) {
-		t.Error("Sleep moved engine time")
-	}
-	if got := clock.Seconds(c.Now()); got != e.Now() {
-		t.Errorf("Seconds(clock) = %v, engine = %v", got, e.Now())
 	}
 }

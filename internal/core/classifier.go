@@ -155,19 +155,6 @@ func (m *ConfusionMatrix) Accuracy() float64 {
 	return float64(correct) / float64(m.Total)
 }
 
-// Misclassified returns the number of off-diagonal entries.
-func (m *ConfusionMatrix) Misclassified() int {
-	wrong := 0
-	for d, row := range m.Counts {
-		for p, n := range row {
-			if p != d {
-				wrong += n
-			}
-		}
-	}
-	return wrong
-}
-
 // String renders the matrix compactly with directions abbreviated to their
 // initials.
 func (m *ConfusionMatrix) String() string {

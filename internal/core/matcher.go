@@ -403,13 +403,6 @@ func (c *Classifier) MatchedAppend(dst []string, w int, s *ClassifyScratch) []st
 	return dst
 }
 
-// Patterns returns the number of compiled keywords.
-func (c *Classifier) Patterns() int { return len(c.pats) }
-
-// States returns the number of rows of the product automaton (diagnostics
-// and tests).
-func (c *Classifier) States() int { return len(c.delta) >> c.shift }
-
 // SchemeFingerprint is the stable identity of the compiled keyword scheme:
 // a SHA-256 over every (direction, keyword, weight) triple in canonical
 // order, hashed once when the classifier is built. The corpus engine folds

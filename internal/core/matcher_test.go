@@ -111,11 +111,13 @@ func TestCompiledShape(t *testing.T) {
 	for _, d := range catalog.Directions() {
 		total += len(KeywordsFor(d))
 	}
-	if c.Patterns() != total {
-		t.Fatalf("compiled %d patterns, want %d", c.Patterns(), total)
+	if len(c.pats) != total {
+		t.Fatalf("compiled %d patterns, want %d", len(c.pats), total)
 	}
-	if c.States() < total { // at least one terminal state per distinct keyword
-		t.Fatalf("only %d states for %d patterns", c.States(), total)
+	// One row of the product automaton per state: at least one terminal
+	// state per distinct keyword.
+	if states := len(c.delta) >> c.shift; states < total {
+		t.Fatalf("only %d states for %d patterns", states, total)
 	}
 	if Compiled() != c {
 		t.Fatal("Compiled is not a singleton")

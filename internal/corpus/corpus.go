@@ -104,12 +104,6 @@ func NewGenerator(spec Spec, seed int64) *Generator {
 	return g
 }
 
-// Spec returns the generator's corpus parameters.
-func (g *Generator) Spec() Spec { return g.spec }
-
-// Seed returns the generator's root seed.
-func (g *Generator) Seed() int64 { return g.seed }
-
 // direction draws a true direction from the mix.
 func (g *Generator) direction(r *rng.Rand) int {
 	u := r.Float64()

@@ -147,7 +147,7 @@ func TestGeneratorMix(t *testing.T) {
 // classifier — the semantic oracle for the sharded pipeline.
 func naiveAggregate(g *Generator) Aggregate {
 	var agg Aggregate
-	for i := 0; i < g.Spec().N; i++ {
+	for i := 0; i < g.spec.N; i++ {
 		desc, dir := g.Describe(i, nil)
 		cl := core.ClassifyDescription(string(desc))
 		pred := cl.Direction.Index()
@@ -178,7 +178,7 @@ func TestClassifyAllMatchesNaive(t *testing.T) {
 	if !reflect.DeepEqual(*agg, want) {
 		t.Fatalf("sharded aggregate diverges:\n got %+v\nwant %+v", *agg, want)
 	}
-	if stats.ShardsExecuted != NumShards(g.Spec().N) || stats.ShardsCached != 0 {
+	if stats.ShardsExecuted != NumShards(g.spec.N) || stats.ShardsCached != 0 {
 		t.Fatalf("storeless run stats = %+v", stats)
 	}
 	if agg.Accuracy() < 0.55 {
@@ -290,7 +290,7 @@ func TestClassifyAllPartialInvalidation(t *testing.T) {
 func TestCorpusCatalogRoundTrip(t *testing.T) {
 	g := NewGenerator(DefaultSpec(500), 31)
 	var first bytes.Buffer
-	if err := g.ExportTools(catalog.NewToolWriter(&first), g.Spec().N); err != nil {
+	if err := g.ExportTools(catalog.NewToolWriter(&first), g.spec.N); err != nil {
 		t.Fatal(err)
 	}
 	var back []catalog.Tool
@@ -300,8 +300,8 @@ func TestCorpusCatalogRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != g.Spec().N {
-		t.Fatalf("imported %d tools, want %d", len(back), g.Spec().N)
+	if len(back) != g.spec.N {
+		t.Fatalf("imported %d tools, want %d", len(back), g.spec.N)
 	}
 	var second bytes.Buffer
 	tw := catalog.NewToolWriter(&second)

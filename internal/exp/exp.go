@@ -70,8 +70,8 @@ func (e *Env) ParOpts() []par.Option { return e.Par }
 
 // SeedFor derives the independent sub-seed for a named stream: FNV-1a over
 // the name folded with the root seed through rng.Split — the same
-// construction as par.SplitSeed and clock.Sim.WorkDuration, so the whole
-// randomness story of the repo stays one primitive. Distinct names
+// construction as par.SplitSeed, so the whole randomness story of the repo
+// stays one primitive. Distinct names
 // yield independent streams; the same (root, name) pair always yields the
 // same seed, regardless of call order or goroutine.
 func (e *Env) SeedFor(name string) int64 {

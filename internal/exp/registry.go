@@ -46,14 +46,6 @@ func (r *Registry) Register(e Experiment) error {
 	return nil
 }
 
-// MustRegister is Register panicking on error — for assembly code whose
-// registrations are validated by the completeness tests.
-func (r *Registry) MustRegister(e Experiment) {
-	if err := r.Register(e); err != nil {
-		panic(err)
-	}
-}
-
 // Get returns the named experiment.
 func (r *Registry) Get(name string) (Experiment, bool) {
 	e, ok := r.byName[name]

@@ -14,7 +14,7 @@ func sealTestRegistry(t *testing.T) *Registry {
 	t.Helper()
 	r := NewRegistry()
 	r.SetName("seal-test")
-	r.MustRegister(Experiment{
+	mustRegister(t, r, Experiment{
 		Spec: Spec{Name: "packed", Params: map[string]any{"n": 4}},
 		Run: func(ctx context.Context, env *Env, spec Spec) (*Result, error) {
 			rng := env.Rng(spec.Name)
@@ -119,7 +119,7 @@ func TestSealRejectsForeignResult(t *testing.T) {
 
 func TestValidateAcceptsRoundTrippableSpecs(t *testing.T) {
 	r := sealTestRegistry(t)
-	r.MustRegister(Experiment{
+	mustRegister(t, r, Experiment{
 		Spec: Spec{Name: "plain", Params: map[string]any{
 			"f": 0.25, "s": "x", "list": []string{"a", "b"}, "flag": true,
 		}},
@@ -136,7 +136,7 @@ func TestValidateAcceptsRoundTrippableSpecs(t *testing.T) {
 // must catch it.
 func TestValidateCatchesNonRoundTrippableParams(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(Experiment{
+	mustRegister(t, r, Experiment{
 		Spec: Spec{Name: "precise", Params: map[string]any{"big": int64(1)<<60 + 1}},
 		Run:  func(context.Context, *Env, Spec) (*Result, error) { return &Result{}, nil },
 	})

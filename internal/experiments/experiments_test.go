@@ -167,8 +167,10 @@ func TestWarmSweepExecutesZeroBodies(t *testing.T) {
 	if misses := warm.Metrics.Counter("exp.misses"); misses != 0 {
 		t.Fatalf("warm sweep executed %d bodies", misses)
 	}
-	if trace := warm.Metrics.TraceText(); strings.Contains(trace, "scenario") && strings.Contains(trace, "×") {
-		t.Error("warm sweep ran a scenario body (scenario span emitted)")
+	for _, sp := range warm.Metrics.Spans() {
+		if strings.Contains(sp.Kind, "scenario") && strings.Contains(sp.Name, "×") {
+			t.Error("warm sweep ran a scenario body (scenario span emitted)")
+		}
 	}
 	for i := range coldResults {
 		if coldResults[i].Provenance.Cached {

@@ -1,6 +1,8 @@
 package faas
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -134,16 +136,27 @@ func TestCloudOnlyAlwaysOffloads(t *testing.T) {
 	}
 }
 
+// latenciesOf returns the response times of fn's successful invocations.
+func latenciesOf(r *Result, fn string) []float64 {
+	var out []float64
+	for _, o := range r.Outcomes {
+		if !o.Rejected && o.Function == fn {
+			out = append(out, o.ResponseS)
+		}
+	}
+	return out
+}
+
 // The near-data claim of Sections 2.2/2.5: for latency-class traffic,
 // edge-first beats cloud-only on response time because it avoids WAN RTTs.
 func TestEdgeFirstLatencyBeatsCloudOnly(t *testing.T) {
 	edge := runWith(t, EdgeFirst{}, 5)
 	cloud := runWith(t, CloudOnly{}, 5)
-	se, err := stats.Summarize(edge.LatenciesOf("detect"))
+	se, err := stats.Summarize(latenciesOf(edge, "detect"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := stats.Summarize(cloud.LatenciesOf("detect"))
+	sc, err := stats.Summarize(latenciesOf(cloud, "detect"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +209,8 @@ func TestReservationsReleased(t *testing.T) {
 	if _, err := p.Run(tr); err != nil {
 		t.Fatal(err)
 	}
-	if inf.FreeCores() != inf.TotalCores() {
-		t.Errorf("leaked cores: %d free of %d", inf.FreeCores(), inf.TotalCores())
+	if freeCores(inf) != inf.TotalCores() {
+		t.Errorf("leaked cores: %d free of %d", freeCores(inf), inf.TotalCores())
 	}
 }
 
@@ -286,7 +299,7 @@ func TestResultDeterminism(t *testing.T) {
 
 func TestMetricsIntegration(t *testing.T) {
 	p := NewPlatform(continuum.EdgeCloudTestbed(), EdgeFirst{})
-	p.Metrics = telemetry.New()
+	p.Metrics = telemetry.NewWithClock(clock.NewSim(1))
 	for _, fn := range testFunctions() {
 		_ = p.Deploy(fn)
 	}
@@ -298,15 +311,12 @@ func TestMetricsIntegration(t *testing.T) {
 	if got := p.Metrics.Counter("faas.invocations"); got != int64(len(r.Outcomes)) {
 		t.Errorf("invocations counter = %d, want %d", got, len(r.Outcomes))
 	}
-	s, err := p.Metrics.Summary("faas.response_s")
-	if err != nil {
-		t.Fatal(err)
+	prom := p.Metrics.PromText()
+	if want := fmt.Sprintf("faas_response_s_count %d\n", len(r.Outcomes)-r.Rejected); !strings.Contains(prom, want) {
+		t.Errorf("latency samples: want %q in\n%s", want, prom)
 	}
-	if s.N != len(r.Outcomes)-r.Rejected {
-		t.Errorf("latency samples = %d", s.N)
-	}
-	if p.Metrics.Gauge("faas.energy_j") != r.EnergyJ {
-		t.Error("energy gauge mismatch")
+	if want := fmt.Sprintf("faas_energy_j %s\n", strconv.FormatFloat(r.EnergyJ, 'g', -1, 64)); !strings.Contains(prom, want) {
+		t.Errorf("energy gauge: want %q in\n%s", want, prom)
 	}
 }
 
@@ -327,7 +337,7 @@ func TestMetricsPromTextDeterministic(t *testing.T) {
 		if _, err := p.Run(tr); err != nil {
 			t.Fatal(err)
 		}
-		return reg.PromText(), reg.TraceText()
+		return reg.PromText(), fmt.Sprint(reg.Spans())
 	}
 	prom1, trace1 := render()
 	prom2, trace2 := render()
@@ -335,7 +345,7 @@ func TestMetricsPromTextDeterministic(t *testing.T) {
 		t.Errorf("PromText differs across identical runs:\n--- first\n%s--- second\n%s", prom1, prom2)
 	}
 	if trace1 != trace2 {
-		t.Errorf("TraceText differs across identical runs")
+		t.Errorf("spans differ across identical runs")
 	}
 	if !strings.Contains(prom1, "faas_invocations") {
 		t.Errorf("PromText missing faas metrics:\n%s", prom1)
@@ -372,4 +382,13 @@ func TestCompareSchedulersWithMetrics(t *testing.T) {
 			t.Errorf("no spans recorded for scheduler %s (kinds: %v)", n, kinds)
 		}
 	}
+}
+
+// freeCores sums the free cores of every node of inf.
+func freeCores(inf *continuum.Infrastructure) int {
+	n := 0
+	for _, node := range inf.Nodes() {
+		n += node.FreeCores()
+	}
+	return n
 }

@@ -102,18 +102,6 @@ func (r *Result) Latencies() []float64 {
 	return out
 }
 
-// LatenciesOf returns the response times of one function's successful
-// invocations.
-func (r *Result) LatenciesOf(fn string) []float64 {
-	var out []float64
-	for _, o := range r.Outcomes {
-		if !o.Rejected && o.Function == fn {
-			out = append(out, o.ResponseS)
-		}
-	}
-	return out
-}
-
 // LatencySummary summarizes response times.
 func (r *Result) LatencySummary() (stats.Summary, error) {
 	return stats.Summarize(r.Latencies())

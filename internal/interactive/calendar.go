@@ -3,13 +3,12 @@ package interactive
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // This file implements the BookedSlurm mechanism: a web-calendar-style
 // booking front-end over cluster reservations, with pay-per-use accounting
 // in a digital currency ("credits"). Bookings convert 1:1 into queue
-// reservations; cancelling refunds the unused credits.
+// reservations.
 
 // Account is a user's credit balance.
 type Account struct {
@@ -74,14 +73,6 @@ func (c *Calendar) Deposit(user string, credits float64) error {
 	return nil
 }
 
-// Balance returns a user's credit balance.
-func (c *Calendar) Balance(user string) float64 {
-	if a, ok := c.accounts[user]; ok {
-		return a.Credits
-	}
-	return 0
-}
-
 // bookedAt returns the peak booked cores over [from, to).
 func (c *Calendar) bookedAt(from, to float64) int {
 	tl := newTimeline(c.ReservableCores)
@@ -124,32 +115,6 @@ func (c *Calendar) Book(user string, cores int, start, end float64) (*Booking, e
 	}
 	c.bookings[b.ID] = b
 	return b, nil
-}
-
-// Cancel removes a booking and refunds its cost.
-func (c *Calendar) Cancel(bookingID string) error {
-	b, ok := c.bookings[bookingID]
-	if !ok {
-		return fmt.Errorf("interactive: unknown booking %q", bookingID)
-	}
-	c.accounts[b.User].Credits += b.Cost
-	delete(c.bookings, bookingID)
-	return nil
-}
-
-// Bookings returns all bookings sorted by start time then ID.
-func (c *Calendar) Bookings() []Booking {
-	out := make([]Booking, 0, len(c.bookings))
-	for _, b := range c.bookings {
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
 
 // ToReservation converts a booking into a queue reservation.

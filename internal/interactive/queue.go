@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/continuum"
 )
 
 // This file implements an ICS/SLURM-style cluster queue: batch jobs run
@@ -268,37 +266,4 @@ func (c *Cluster) Run() ([]JobTrace, error) {
 		return traces[i].Job.ID < traces[j].Job.ID
 	})
 	return traces, nil
-}
-
-// WaitStats summarizes waits for a set of traces, split by reservation use.
-func WaitStats(traces []JobTrace) (batchMean, reservedMean float64) {
-	var bSum, rSum float64
-	var bN, rN int
-	for _, tr := range traces {
-		if tr.Job.ReservationID != "" {
-			rSum += tr.WaitS
-			rN++
-		} else {
-			bSum += tr.WaitS
-			bN++
-		}
-	}
-	if bN > 0 {
-		batchMean = bSum / float64(bN)
-	}
-	if rN > 0 {
-		reservedMean = rSum / float64(rN)
-	}
-	return batchMean, reservedMean
-}
-
-// SimulateOnTestbed is a convenience wiring a Cluster over the HPC portion
-// of the standard testbed (128 cores).
-func SimulateOnTestbed() (*Cluster, error) {
-	inf := continuum.Testbed()
-	cores := 0
-	for _, n := range inf.NodesByKind(continuum.HPC) {
-		cores += n.Cores
-	}
-	return NewCluster(cores)
 }

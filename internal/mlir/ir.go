@@ -111,30 +111,6 @@ func (m *Module) Validate() error {
 	return nil
 }
 
-// Clone deep-copies the module so passes can be compared side by side.
-func (m *Module) Clone() *Module {
-	cp := *m
-	cp.Inputs = append([]string(nil), m.Inputs...)
-	cp.Ops = cloneOps(m.Ops)
-	return &cp
-}
-
-func cloneOps(ops []Op) []Op {
-	out := make([]Op, len(ops))
-	for i, op := range ops {
-		out[i] = op
-		out[i].Args = append([]string(nil), op.Args...)
-		if op.Attrs != nil {
-			out[i].Attrs = map[string]float64{}
-			for k, v := range op.Attrs {
-				out[i].Attrs[k] = v
-			}
-		}
-		out[i].Body = cloneOps(op.Body)
-	}
-	return out
-}
-
 // String renders the module in a textual MLIR-ish syntax.
 func (m *Module) String() string {
 	var b strings.Builder
@@ -170,25 +146,6 @@ func (m *Module) String() string {
 	render(m.Ops, "  ")
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// Dialects returns the set of dialects used by the module's ops, sorted.
-func (m *Module) Dialects() []Dialect {
-	seen := map[Dialect]bool{}
-	var walk func(ops []Op)
-	walk = func(ops []Op) {
-		for _, op := range ops {
-			seen[op.Dialect] = true
-			walk(op.Body)
-		}
-	}
-	walk(m.Ops)
-	out := make([]Dialect, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // CountOps returns the number of ops (recursively).

@@ -81,7 +81,7 @@ func TestConstFold(t *testing.T) {
 			{Dialect: DialectTensor, Name: "sum", Result: "%r", Args: []string{"%ab"}},
 		},
 	}
-	want, err := Interpret(m.Clone(), nil)
+	want, err := Interpret(clone(m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +154,16 @@ func TestFullLoweringPipelinePreservesSemantics(t *testing.T) {
 		}
 	}
 	// The lowered module must contain rv ops and no loop ops.
-	ds := m.Dialects()
-	hasRV, hasLoop := false, false
-	for _, d := range ds {
-		if d == DialectRV {
-			hasRV = true
-		}
-		if d == DialectLoop {
-			hasLoop = true
+	ds := map[Dialect]bool{}
+	var walk func(ops []Op)
+	walk = func(ops []Op) {
+		for _, op := range ops {
+			ds[op.Dialect] = true
+			walk(op.Body)
 		}
 	}
+	walk(m.Ops)
+	hasRV, hasLoop := ds[DialectRV], ds[DialectLoop]
 	if !hasRV {
 		t.Errorf("no rv dialect after lowering: %v", ds)
 	}
@@ -235,11 +235,11 @@ func TestPipelineSemanticsProperty(t *testing.T) {
 			"%x": vec(n, func(i int) float64 { return rng.Float64()*4 - 2 }),
 			"%y": vec(n, func(i int) float64 { return rng.Float64()*4 - 2 }),
 		}
-		want, err := Interpret(m.Clone(), inputs)
+		want, err := Interpret(clone(m), inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lowered := m.Clone()
+		lowered := clone(m)
 		if err := DefaultPipeline().Run(lowered); err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, m)
 		}
@@ -264,9 +264,11 @@ func TestModuleString(t *testing.T) {
 	}
 }
 
+// clone must share nothing with its source, or a pass run on the copy
+// would change the module the semantics tests compare it against.
 func TestCloneIndependence(t *testing.T) {
 	m := AXPY("demo", 4, 2)
-	c := m.Clone()
+	c := clone(m)
 	c.Ops[0].Attrs["value"] = 99
 	c.Ops[1].Args[0] = "%x"
 	if m.Ops[0].Attrs["value"] == 99 || m.Ops[1].Args[0] == "%x" {
@@ -281,4 +283,29 @@ func TestInterpretNoOutput(t *testing.T) {
 	if _, err := Interpret(m, nil); err != ErrNoOutput {
 		t.Errorf("err = %v, want ErrNoOutput", err)
 	}
+}
+
+// clone deep-copies a module so a pass's output can be compared with its
+// input.
+func clone(m *Module) *Module {
+	cp := *m
+	cp.Inputs = append([]string(nil), m.Inputs...)
+	cp.Ops = cloneOps(m.Ops)
+	return &cp
+}
+
+func cloneOps(ops []Op) []Op {
+	out := make([]Op, len(ops))
+	for i, op := range ops {
+		out[i] = op
+		out[i].Args = append([]string(nil), op.Args...)
+		if op.Attrs != nil {
+			out[i].Attrs = map[string]float64{}
+			for k, v := range op.Attrs {
+				out[i].Attrs[k] = v
+			}
+		}
+		out[i].Body = cloneOps(op.Body)
+	}
+	return out
 }

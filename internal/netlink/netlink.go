@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/rng"
 )
 
 // QoSClass selects a delivery path, mirroring INSANE's differentiated
@@ -43,9 +41,7 @@ type Message struct {
 
 // Endpoint is a named attachment point with an inbox.
 type Endpoint struct {
-	addr   string
-	inbox  []Message
-	closed bool
+	inbox []Message
 }
 
 // Fabric is the in-memory network.
@@ -70,22 +66,14 @@ type Fabric struct {
 	delivered int
 	dropped   int
 	buffered  int
-
-	// Loss injection (loss.go).
-	lossProb float64
-	lossRng  *rng.Rand
-	lost     int // Fast-path frames dropped by injected loss
-	retx     int // Reliable-path retransmissions
 }
 
 type conn struct {
-	id         uint64
-	client     string
-	server     string
-	migrating  bool
-	buf        []Message // held during migration, flushed on completion
-	bytesMoved float64
-	migrations int
+	id        uint64
+	client    string
+	server    string
+	migrating bool
+	buf       []Message // held during migration, flushed on completion
 }
 
 // NewFabric returns a fabric with edge-like defaults: 10 ms reliable
@@ -110,28 +98,10 @@ func (f *Fabric) Attach(addr string) (*Endpoint, error) {
 	if _, dup := f.endpoints[addr]; dup {
 		return nil, fmt.Errorf("netlink: address %q in use", addr)
 	}
-	ep := &Endpoint{addr: addr}
+	ep := &Endpoint{}
 	f.endpoints[addr] = ep
 	return ep, nil
 }
-
-// Detach removes an endpoint; its undelivered messages are dropped.
-func (f *Fabric) Detach(addr string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ep, ok := f.endpoints[addr]
-	if !ok {
-		return fmt.Errorf("netlink: unknown endpoint %q", addr)
-	}
-	ep.closed = true
-	f.dropped += len(ep.inbox)
-	ep.inbox = nil
-	delete(f.endpoints, addr)
-	return nil
-}
-
-// Addr returns the endpoint's address.
-func (e *Endpoint) Addr() string { return e.addr }
 
 // latency computes the one-way delay for a payload on a QoS class.
 func (f *Fabric) latency(size int, qos QoSClass) float64 {
@@ -162,19 +132,6 @@ func (f *Fabric) Dial(client, server string) (uint64, error) {
 	return c.id, nil
 }
 
-// Close tears down a connection.
-func (f *Fabric) Close(connID uint64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c, ok := f.conns[connID]
-	if !ok {
-		return fmt.Errorf("netlink: unknown connection %d", connID)
-	}
-	f.dropped += len(c.buf)
-	delete(f.conns, connID)
-	return nil
-}
-
 // Send delivers payload over a connection toward the server side. During a
 // migration the message is buffered and flushed when the migration
 // completes — zero loss, the MoveQUIC guarantee.
@@ -200,45 +157,12 @@ func (f *Fabric) Send(connID uint64, payload []byte, qos QoSClass) error {
 	return f.deliverLocked(c.server, msg)
 }
 
-// Reply delivers payload from the server side back to the client.
-func (f *Fabric) Reply(connID uint64, payload []byte, qos QoSClass) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c, ok := f.conns[connID]
-	if !ok {
-		return fmt.Errorf("netlink: unknown connection %d", connID)
-	}
-	msg := Message{
-		From:     c.server,
-		ConnID:   connID,
-		Payload:  append([]byte(nil), payload...),
-		QoS:      qos,
-		LatencyS: f.latency(len(payload), qos),
-	}
-	return f.deliverLocked(c.client, msg)
-}
-
-// ErrLost marks a Fast-path frame dropped by injected loss: the fast path
-// does not retransmit (that is its contract).
-var ErrLost = errors.New("netlink: frame lost on fast path")
-
 func (f *Fabric) deliverLocked(addr string, msg Message) error {
 	ep, ok := f.endpoints[addr]
-	if !ok || ep.closed {
+	if !ok {
 		f.dropped++
 		return fmt.Errorf("netlink: endpoint %q gone, message dropped", addr)
 	}
-	delivered, extra, attempts := f.sendAttempts(msg.QoS)
-	f.retx += attempts - 1
-	if !delivered {
-		if msg.QoS == Fast {
-			f.lost++
-			return ErrLost
-		}
-		f.dropped++
-		return fmt.Errorf("netlink: reliable delivery to %q gave up after %d attempts", addr, attempts)
-	}
-	msg.LatencyS += extra
 	ep.inbox = append(ep.inbox, msg)
 	f.delivered++
 	return nil
@@ -318,8 +242,6 @@ func (f *Fabric) CompleteMigration(connID uint64, newAddr string, stateBytes flo
 	}
 	c.server = newAddr
 	c.migrating = false
-	c.bytesMoved += stateBytes
-	c.migrations++
 	for _, m := range c.buf {
 		if err := f.deliverLocked(newAddr, m); err != nil {
 			return nil, err
@@ -339,16 +261,6 @@ func (f *Fabric) ServerOf(connID uint64) (string, error) {
 		return "", fmt.Errorf("netlink: unknown connection %d", connID)
 	}
 	return c.server, nil
-}
-
-// Migrations returns how many times a connection's server side has moved.
-func (f *Fabric) Migrations(connID uint64) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.conns[connID]; ok {
-		return c.migrations
-	}
-	return 0
 }
 
 // Stats returns delivered / dropped / buffered counters.

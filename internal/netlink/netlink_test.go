@@ -1,16 +1,14 @@
 package netlink
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
 )
 
-func TestAttachDetach(t *testing.T) {
+func TestAttach(t *testing.T) {
 	f := NewFabric()
-	ep, err := f.Attach("a")
-	if err != nil || ep.Addr() != "a" {
+	if _, err := f.Attach("a"); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
 	if _, err := f.Attach("a"); err == nil {
@@ -18,12 +16,6 @@ func TestAttachDetach(t *testing.T) {
 	}
 	if _, err := f.Attach(""); err == nil {
 		t.Error("empty address accepted")
-	}
-	if err := f.Detach("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Detach("a"); err == nil {
-		t.Error("double detach accepted")
 	}
 }
 
@@ -45,13 +37,6 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	if string(msgs[0].Payload) != "ping" || msgs[0].From != "client" || msgs[0].ConnID != id {
 		t.Errorf("msg = %+v", msgs[0])
 	}
-	if err := f.Reply(id, []byte("pong"), Reliable); err != nil {
-		t.Fatal(err)
-	}
-	back, _ := f.Recv("client")
-	if len(back) != 1 || string(back[0].Payload) != "pong" {
-		t.Errorf("reply = %+v", back)
-	}
 	// Inbox drained.
 	again, _ := f.Recv("server")
 	if len(again) != 0 {
@@ -70,9 +55,6 @@ func TestDialErrors(t *testing.T) {
 	}
 	if err := f.Send(99, nil, Reliable); err == nil {
 		t.Error("send on unknown connection accepted")
-	}
-	if err := f.Close(99); err == nil {
-		t.Error("close of unknown connection accepted")
 	}
 }
 
@@ -147,9 +129,6 @@ func TestServerSideMigration(t *testing.T) {
 	if len(old) != 1 || string(old[0].Payload) != "before" {
 		t.Errorf("edge-1 inbox = %+v", old)
 	}
-	if f.Migrations(id) != 1 {
-		t.Errorf("migrations = %d", f.Migrations(id))
-	}
 }
 
 func TestMigrationErrors(t *testing.T) {
@@ -195,23 +174,6 @@ func TestZeroLossAccounting(t *testing.T) {
 	}
 }
 
-func TestDetachDropsMail(t *testing.T) {
-	f := NewFabric()
-	_, _ = f.Attach("c")
-	_, _ = f.Attach("s")
-	id, _ := f.Dial("c", "s")
-	_ = f.Send(id, []byte("x"), Reliable)
-	_ = f.Detach("s")
-	_, dropped, _ := f.Stats()
-	if dropped != 1 {
-		t.Errorf("dropped = %d", dropped)
-	}
-	// Sending to a detached server reports an error and counts a drop.
-	if err := f.Send(id, []byte("y"), Reliable); err == nil {
-		t.Error("send to detached endpoint accepted")
-	}
-}
-
 func TestConcurrentSendsSafe(t *testing.T) {
 	f := NewFabric()
 	_, _ = f.Attach("c")
@@ -231,116 +193,5 @@ func TestConcurrentSendsSafe(t *testing.T) {
 	msgs, _ := f.Recv("s")
 	if len(msgs) != 800 {
 		t.Errorf("got %d messages, want 800", len(msgs))
-	}
-}
-
-func TestCloseDropsBuffered(t *testing.T) {
-	f := NewFabric()
-	_, _ = f.Attach("c")
-	_, _ = f.Attach("s")
-	id, _ := f.Dial("c", "s")
-	_ = f.BeginMigration(id)
-	_ = f.Send(id, []byte("x"), Reliable)
-	if err := f.Close(id); err != nil {
-		t.Fatal(err)
-	}
-	_, dropped, _ := f.Stats()
-	if dropped != 1 {
-		t.Errorf("dropped = %d", dropped)
-	}
-	if err := f.Send(id, nil, Reliable); err == nil {
-		t.Error("send on closed connection accepted")
-	}
-}
-
-func TestLossInjectionValidation(t *testing.T) {
-	f := NewFabric()
-	if err := f.EnableLoss(-0.1, 1); err == nil {
-		t.Error("negative probability accepted")
-	}
-	if err := f.EnableLoss(1, 1); err == nil {
-		t.Error("probability 1 accepted")
-	}
-	if err := f.EnableLoss(0.2, 1); err != nil {
-		t.Error(err)
-	}
-}
-
-// INSANE's QoS contract under loss: the Fast path drops frames, the
-// Reliable path always delivers but pays retransmission latency.
-func TestDifferentiatedQoSUnderLoss(t *testing.T) {
-	f := NewFabric()
-	if err := f.EnableLoss(0.3, 42); err != nil {
-		t.Fatal(err)
-	}
-	_, _ = f.Attach("c")
-	_, _ = f.Attach("s")
-	id, _ := f.Dial("c", "s")
-
-	const n = 200
-	fastLost := 0
-	for i := 0; i < n; i++ {
-		if err := f.Send(id, []byte{1}, Fast); err != nil {
-			if !errors.Is(err, ErrLost) {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			fastLost++
-		}
-	}
-	for i := 0; i < n; i++ {
-		if err := f.Send(id, []byte{2}, Reliable); err != nil {
-			t.Fatalf("reliable send failed: %v", err)
-		}
-	}
-	msgs, _ := f.Recv("s")
-	fastGot, reliableGot := 0, 0
-	var maxReliableLatency float64
-	for _, m := range msgs {
-		switch m.QoS {
-		case Fast:
-			fastGot++
-		case Reliable:
-			reliableGot++
-			if m.LatencyS > maxReliableLatency {
-				maxReliableLatency = m.LatencyS
-			}
-		}
-	}
-	if reliableGot != n {
-		t.Errorf("reliable delivered %d of %d", reliableGot, n)
-	}
-	if fastGot+fastLost != n || fastLost == 0 {
-		t.Errorf("fast delivered %d + lost %d != %d", fastGot, fastLost, n)
-	}
-	lost, retx := f.LossStats()
-	if lost != fastLost {
-		t.Errorf("lost counter = %d, want %d", lost, fastLost)
-	}
-	if retx == 0 {
-		t.Error("no retransmissions recorded at 30% loss")
-	}
-	// Retransmitted reliable frames pay extra RTTs.
-	base := f.latency(1, Reliable)
-	if maxReliableLatency <= base {
-		t.Errorf("max reliable latency %v shows no retransmission penalty over base %v", maxReliableLatency, base)
-	}
-}
-
-func TestLossDeterministicUnderSeed(t *testing.T) {
-	run := func() (int, int) {
-		f := NewFabric()
-		_ = f.EnableLoss(0.25, 7)
-		_, _ = f.Attach("c")
-		_, _ = f.Attach("s")
-		id, _ := f.Dial("c", "s")
-		for i := 0; i < 100; i++ {
-			_ = f.Send(id, []byte{byte(i)}, Fast)
-		}
-		return f.LossStats()
-	}
-	l1, r1 := run()
-	l2, r2 := run()
-	if l1 != l2 || r1 != r2 {
-		t.Error("loss injection not deterministic")
 	}
 }

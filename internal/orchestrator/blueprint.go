@@ -133,10 +133,3 @@ func (b *Blueprint) Policy() (Policy, error) {
 		return nil, fmt.Errorf("orchestrator: unknown placement policy %q", b.Policies.Placement)
 	}
 }
-
-// WriteJSON serializes the blueprint.
-func (b *Blueprint) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}

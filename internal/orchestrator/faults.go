@@ -3,7 +3,6 @@ package orchestrator
 import (
 	"fmt"
 
-	"repro/internal/continuum"
 	"repro/internal/rng"
 	"repro/internal/workflow"
 )
@@ -17,7 +16,7 @@ import (
 type FaultModel struct {
 	FailureProb float64
 	MaxRetries  int
-	Rng         *rng.Rand // deterministic injections; nil = seed 1
+	Rng         *rng.Rand // deterministic injections
 }
 
 // Validate checks the model.
@@ -56,40 +55,4 @@ func drawAttempts(steps []*workflow.Step, fm FaultModel, r *rng.Rand, attempts [
 		failures += a - 1
 	}
 	return failures, nil
-}
-
-// SimulateWithFaults runs the schedule simulation under the fault model by
-// inflating each step's work to cover its (pre-drawn) failed attempts —
-// retries serialize on the same node, so total time multiplies by the
-// attempt count. The draw order is the workflow's insertion order, so runs
-// are reproducible under a fixed seed.
-func SimulateWithFaults(wf *workflow.Workflow, inf *continuum.Infrastructure, p Placement, policyName string, fm FaultModel) (*FaultyStats, error) {
-	if err := fm.Validate(); err != nil {
-		return nil, err
-	}
-	r := fm.Rng
-	if r == nil {
-		r = rng.New(1)
-	}
-	// Draw before compiling: retry exhaustion outranks scenario validation,
-	// as it did when the draws preceded the Simulate call.
-	steps := wf.Steps()
-	attempts := make([]int32, len(steps))
-	failures, err := drawAttempts(steps, fm, r, attempts)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := compile(wf, inf, p)
-	if err != nil {
-		return nil, err
-	}
-	sc := simPool.Get()
-	defer simPool.Put(sc)
-	sc.bind(prog)
-	copy(sc.attempts, attempts)
-	sc.inflatedWork()
-	if err := prog.run(sc); err != nil {
-		return nil, err
-	}
-	return &FaultyStats{Schedule: prog.buildSchedule(sc, policyName), Failures: failures}, nil
 }

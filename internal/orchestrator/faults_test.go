@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/continuum"
-	"repro/internal/rng"
 )
 
 func TestFaultModelValidate(t *testing.T) {
@@ -20,7 +19,21 @@ func TestFaultModelValidate(t *testing.T) {
 	}
 }
 
-func TestZeroFaultMatchesPlainSimulation(t *testing.T) {
+// faultSweep runs a one-candidate fault sweep of the pipeline on the
+// standard testbed under DataLocal placement.
+func faultSweep(t *testing.T, prob float64, maxRetries int, seed int64) (*FaultyStats, error) {
+	t.Helper()
+	pts, err := SweepFaults(sweepWF(), continuum.Testbed, DataLocal{}, []float64{prob}, maxRetries, seed)
+	if err != nil {
+		return nil, err
+	}
+	return pts[0].Stats, nil
+}
+
+// plainPipeline simulates the pipeline without faults under the placement
+// the sweeps use.
+func plainPipeline(t *testing.T) *Schedule {
+	t.Helper()
 	wf := pipelineWF()
 	inf := continuum.Testbed()
 	p, err := DataLocal{}.Place(wf, inf)
@@ -31,7 +44,12 @@ func TestZeroFaultMatchesPlainSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, err := SimulateWithFaults(wf, inf, p, "data-local", FaultModel{FailureProb: 0, MaxRetries: 3})
+	return plain
+}
+
+func TestZeroFaultMatchesPlainSimulation(t *testing.T) {
+	plain := plainPipeline(t)
+	faulty, err := faultSweep(t, 0, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +62,9 @@ func TestZeroFaultMatchesPlainSimulation(t *testing.T) {
 }
 
 func TestFaultsExtendMakespan(t *testing.T) {
-	wf := pipelineWF()
-	inf := continuum.Testbed()
-	p, err := DataLocal{}.Place(wf, inf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Simulate(wf, inf, p, "data-local")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := plainPipeline(t)
 	// With 40% failure probability some step almost surely retries.
-	faulty, err := SimulateWithFaults(wf, inf, p, "data-local",
-		FaultModel{FailureProb: 0.4, MaxRetries: 20, Rng: rng.New(3)})
+	faulty, err := faultSweep(t, 0.4, 20, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,30 +77,15 @@ func TestFaultsExtendMakespan(t *testing.T) {
 }
 
 func TestRetryExhaustionFails(t *testing.T) {
-	wf := pipelineWF()
-	inf := continuum.Testbed()
-	p, err := DataLocal{}.Place(wf, inf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// p=0.9 with zero retries: some step fails almost surely.
-	_, err = SimulateWithFaults(wf, inf, p, "data-local",
-		FaultModel{FailureProb: 0.9, MaxRetries: 0, Rng: rng.New(1)})
-	if err == nil {
+	if _, err := faultSweep(t, 0.9, 0, 1); err == nil {
 		t.Error("retry exhaustion not reported")
 	}
 }
 
 func TestFaultInjectionDeterministic(t *testing.T) {
 	run := func() (float64, int) {
-		wf := pipelineWF()
-		inf := continuum.Testbed()
-		p, err := DataLocal{}.Place(wf, inf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := SimulateWithFaults(wf, inf, p, "data-local",
-			FaultModel{FailureProb: 0.3, MaxRetries: 10, Rng: rng.New(7)})
+		fs, err := faultSweep(t, 0.3, 10, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

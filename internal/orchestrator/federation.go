@@ -3,7 +3,6 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/continuum"
 )
@@ -50,48 +49,6 @@ func (c *Cluster) Peer(provider *Cluster, shareCores int) error {
 	}
 	c.peers[provider.Name] = &peering{provider: provider, shareCap: shareCores}
 	return nil
-}
-
-// Unpeer removes a peering; it fails while cores are still borrowed.
-func (c *Cluster) Unpeer(provider string) error {
-	p, ok := c.peers[provider]
-	if !ok {
-		return fmt.Errorf("orchestrator: no peering with %q", provider)
-	}
-	if p.borrowed > 0 {
-		return fmt.Errorf("orchestrator: %d cores still borrowed from %q", p.borrowed, provider)
-	}
-	delete(c.peers, provider)
-	return nil
-}
-
-// Peers returns the provider names of active peerings, sorted.
-func (c *Cluster) Peers() []string {
-	out := make([]string, 0, len(c.peers))
-	for name := range c.peers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LocalFree returns free cores in the local infrastructure.
-func (c *Cluster) LocalFree() int { return c.Infra.FreeCores() }
-
-// FederatedFree returns local free cores plus the remaining borrowable
-// share on every peering (bounded by the providers' actual free cores).
-func (c *Cluster) FederatedFree() int {
-	total := c.LocalFree()
-	for _, p := range c.peers {
-		avail := p.shareCap - p.borrowed
-		if pf := p.provider.Infra.FreeCores(); pf < avail {
-			avail = pf
-		}
-		if avail > 0 {
-			total += avail
-		}
-	}
-	return total
 }
 
 // Borrow reserves cores on a provider's infrastructure through a peering,
@@ -166,58 +123,4 @@ func (c *Cluster) Return(provider string, grants map[string]int) error {
 	}
 	p.borrowed -= total
 	return nil
-}
-
-// Borrowed returns the cores currently borrowed from provider.
-func (c *Cluster) Borrowed(provider string) int {
-	if p, ok := c.peers[provider]; ok {
-		return p.borrowed
-	}
-	return 0
-}
-
-// Federation is a set of clusters used by the what-if experiments.
-type Federation struct {
-	clusters map[string]*Cluster
-	order    []string
-}
-
-// NewFederation returns an empty federation.
-func NewFederation() *Federation { return &Federation{clusters: map[string]*Cluster{}} }
-
-// Add registers a cluster.
-func (f *Federation) Add(c *Cluster) error {
-	if _, dup := f.clusters[c.Name]; dup {
-		return fmt.Errorf("orchestrator: duplicate cluster %q", c.Name)
-	}
-	f.clusters[c.Name] = c
-	f.order = append(f.order, c.Name)
-	return nil
-}
-
-// Cluster returns a cluster by name.
-func (f *Federation) Cluster(name string) (*Cluster, error) {
-	c, ok := f.clusters[name]
-	if !ok {
-		return nil, fmt.Errorf("orchestrator: unknown cluster %q", name)
-	}
-	return c, nil
-}
-
-// Clusters returns the clusters in insertion order.
-func (f *Federation) Clusters() []*Cluster {
-	out := make([]*Cluster, 0, len(f.order))
-	for _, n := range f.order {
-		out = append(out, f.clusters[n])
-	}
-	return out
-}
-
-// TotalFree sums free cores across the federation.
-func (f *Federation) TotalFree() int {
-	t := 0
-	for _, c := range f.Clusters() {
-		t += c.LocalFree()
-	}
-	return t
 }

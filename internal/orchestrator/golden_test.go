@@ -61,7 +61,7 @@ func renderSchedule(b *strings.Builder, s *Schedule) {
 	for _, id := range ids {
 		tr := s.Steps[id]
 		fmt.Fprintf(b, "  step=%s node=%s place=%s cores=%d ready=%s start=%s finish=%s xfer=%s wait=%s\n",
-			id, tr.NodeID, s.Placement[id], s.CoresGranted(id),
+			id, tr.NodeID, s.Placement[id], s.stepCores[id],
 			hexF(tr.Ready), hexF(tr.Start), hexF(tr.Finish), hexF(tr.TransferS), hexF(tr.WaitS))
 	}
 }
@@ -109,7 +109,7 @@ func simulateGolden(t *testing.T) string {
 		}
 	}
 
-	// Fault model single runs: exercise SimulateWithFaults across seeds.
+	// Fault model single runs across seeds.
 	for _, seed := range []int64{1, 7, 99} {
 		fm := FaultModel{FailureProb: 0.3, MaxRetries: 50, Rng: rng.New(seed)}
 		wf := pipelineWF()
@@ -118,7 +118,7 @@ func simulateGolden(t *testing.T) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := SimulateWithFaults(wf, in, p, "data-local", fm)
+		fs, err := simulateWithFaults(wf, in, p, "data-local", fm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func simulateGolden(t *testing.T) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := SimulateWithResume(wf, in, p, "data-local", fm)
+		rs, err := simulateWithResume(wf, in, p, fm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,4 +228,48 @@ func TestSimulateMatchesSeedGolden(t *testing.T) {
 		}
 		t.Fatalf("golden mismatch: %d extra output lines, first:\n%s", len(gotLines)-len(wantLines), gotLines[len(wantLines)])
 	}
+}
+
+// simulateWithFaults is one candidate of SweepFaults with its own RNG: it
+// draws the attempts from fm.Rng, inflates each step's work by its attempt
+// count and simulates the compiled scenario.
+func simulateWithFaults(wf *workflow.Workflow, inf *continuum.Infrastructure, p Placement, policyName string, fm FaultModel) (*FaultyStats, error) {
+	steps := wf.Steps()
+	attempts := make([]int32, len(steps))
+	failures, err := drawAttempts(steps, fm, fm.Rng, attempts)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := compile(wf, inf, p)
+	if err != nil {
+		return nil, err
+	}
+	sc := simPool.Get()
+	defer simPool.Put(sc)
+	sc.bind(prog)
+	copy(sc.attempts, attempts)
+	sc.inflatedWork()
+	if err := prog.run(sc); err != nil {
+		return nil, err
+	}
+	return &FaultyStats{Schedule: prog.buildSchedule(sc, policyName), Failures: failures}, nil
+}
+
+// simulateWithResume is one candidate of SweepFaultsResume with its own
+// RNG; it returns nil stats when no step exhausts its retries.
+func simulateWithResume(wf *workflow.Workflow, inf *continuum.Infrastructure, p Placement, fm FaultModel) (*ResumeStats, error) {
+	attempts := make([]int32, wf.Len())
+	fatal := drawAttemptsResume(wf.Len(), fm, fm.Rng, attempts)
+	if fatal < 0 {
+		return nil, nil
+	}
+	prog, err := compile(wf, inf, p)
+	if err != nil {
+		return nil, err
+	}
+	sc := simPool.Get()
+	defer simPool.Put(sc)
+	sc.bind(prog)
+	copy(sc.attempts, attempts)
+	return prog.resumeStats(sc, fatal)
 }

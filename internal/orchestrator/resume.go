@@ -130,38 +130,6 @@ func (p *compiledSim) resumeStats(sc *simScratch, fatal int) (*ResumeStats, erro
 	return stats, nil
 }
 
-// SimulateWithResume runs the fault model like SimulateWithFaults, but
-// instead of treating retry exhaustion as a terminal error it simulates the
-// recovery: the aborted first run (steps completed before the abort are
-// checkpointed), a resume run replaying only the incomplete steps, and the
-// re-run-everything baseline. It returns nil stats when no step exhausts
-// its retries (the run succeeds; there is nothing to resume).
-func SimulateWithResume(wf *workflow.Workflow, inf *continuum.Infrastructure, p Placement, policyName string, fm FaultModel) (*ResumeStats, error) {
-	if err := fm.Validate(); err != nil {
-		return nil, err
-	}
-	r := fm.Rng
-	if r == nil {
-		r = rng.New(1)
-	}
-	// Draw before compiling, as the seed drew before simulating: a run with
-	// no fatal step reports nothing to resume before any scenario check.
-	attempts := make([]int32, wf.Len())
-	fatal := drawAttemptsResume(wf.Len(), fm, r, attempts)
-	if fatal < 0 {
-		return nil, nil
-	}
-	prog, err := compile(wf, inf, p)
-	if err != nil {
-		return nil, err
-	}
-	sc := simPool.Get()
-	defer simPool.Put(sc)
-	sc.bind(prog)
-	copy(sc.attempts, attempts)
-	return prog.resumeStats(sc, fatal)
-}
-
 // ResumePoint is one candidate of a resume sweep. Stats is nil when the
 // run at that failure probability completed without exhausting retries.
 type ResumePoint struct {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/continuum"
 	"repro/internal/par"
-	"repro/internal/rng"
 )
 
 // High failure probability with a single retry: some step exhausts its
@@ -16,26 +15,20 @@ func resumeProbs() []float64 { return []float64{0, 0.1, 0.3, 0.5, 0.6, 0.7} }
 // incomplete steps must be no slower than re-running from scratch, and the
 // checkpointed work is strictly positive when steps completed first.
 func TestSimulateWithResumeSavesWork(t *testing.T) {
-	wf := pipelineWF()
-	inf := continuum.Testbed()
-	p, err := DataLocal{}.Place(wf, inf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rs *ResumeStats
 	// Scan seeds until the fault lands past the first step, so the aborted
 	// run has checkpointed work to save.
 	for seed := int64(1); seed < 200 && (rs == nil || rs.CompletedSteps == 0); seed++ {
-		fm := FaultModel{FailureProb: 0.6, MaxRetries: 1, Rng: rng.New(seed)}
-		rs, err = SimulateWithResume(wf, inf, p, "data-local", fm)
+		pts, err := SweepFaultsResume(sweepWF(), continuum.Testbed, DataLocal{}, []float64{0.6}, 1, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rs = pts[0].Stats
 	}
 	if rs == nil || rs.CompletedSteps == 0 {
 		t.Fatal("no seed produced a mid-run fatal fault with completed steps")
 	}
-	if rs.FatalStep == "" || rs.TotalSteps != wf.Len() {
+	if rs.FatalStep == "" || rs.TotalSteps != pipelineWF().Len() {
 		t.Fatalf("stats: %+v", rs)
 	}
 	if rs.SavedGFlop <= 0 {
@@ -55,19 +48,12 @@ func TestSimulateWithResumeSavesWork(t *testing.T) {
 // TestSimulateWithResumeNilOnSuccess: when no step exhausts its retries the
 // run completes and there is nothing to resume.
 func TestSimulateWithResumeNilOnSuccess(t *testing.T) {
-	wf := pipelineWF()
-	inf := continuum.Testbed()
-	p, err := DataLocal{}.Place(wf, inf)
+	pts, err := SweepFaultsResume(sweepWF(), continuum.Testbed, DataLocal{}, []float64{0}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := FaultModel{FailureProb: 0, MaxRetries: 0, Rng: rng.New(1)}
-	rs, err := SimulateWithResume(wf, inf, p, "data-local", fm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs != nil {
-		t.Fatalf("fault-free run produced resume stats: %+v", rs)
+	if pts[0].Stats != nil {
+		t.Fatalf("fault-free run produced resume stats: %+v", pts[0].Stats)
 	}
 }
 

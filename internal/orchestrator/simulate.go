@@ -2,7 +2,6 @@ package orchestrator
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/continuum"
@@ -43,47 +42,8 @@ type Schedule struct {
 	stepCores map[string]int // cores actually granted per step
 }
 
-// CoresGranted returns the cores the simulation granted to a step (0 if the
-// step is unknown).
-func (s *Schedule) CoresGranted(stepID string) int { return s.stepCores[stepID] }
-
 // TotalEnergyJ returns dynamic plus idle energy.
 func (s *Schedule) TotalEnergyJ() float64 { return s.DynamicEnergyJ + s.IdleEnergyJ }
-
-// CarbonG returns the CO2 grams for the schedule, charging each node's
-// energy at its local carbon intensity.
-func (s *Schedule) CarbonG(inf *continuum.Infrastructure) (float64, error) {
-	perNode := map[string]float64{}
-	stepIDs := make([]string, 0, len(s.Steps))
-	for id := range s.Steps {
-		stepIDs = append(stepIDs, id)
-	}
-	sort.Strings(stepIDs)
-	for _, stepID := range stepIDs {
-		tr := s.Steps[stepID]
-		n, err := inf.Node(tr.NodeID)
-		if err != nil {
-			return 0, err
-		}
-		exec := tr.Finish - tr.Start
-		cores := s.stepCores[tr.StepID]
-		if cores == 0 {
-			cores = 1
-		}
-		perNode[tr.NodeID] += (n.MaxW - n.IdleW) * exec * (float64(cores) / float64(n.Cores))
-	}
-	nodeIDs := make([]string, 0, len(perNode))
-	for id := range perNode {
-		nodeIDs = append(nodeIDs, id)
-	}
-	sort.Strings(nodeIDs)
-	var g float64
-	for _, id := range nodeIDs {
-		n, _ := inf.Node(id)
-		g += n.CarbonG(perNode[id] + n.IdleW*s.Makespan)
-	}
-	return g, nil
-}
 
 // Simulate executes wf under placement p. inf provides capacity, speeds and
 // topology but is not mutated: the simulation runs on a compiled form of the
@@ -147,12 +107,4 @@ func Compare(mkWf func() *workflow.Workflow, mkInf func() *continuum.Infrastruct
 		return out[i].Policy < out[j].Policy
 	})
 	return out, nil
-}
-
-// Speedup returns a/b makespans as a ratio ≥ 0 (how much faster b is than a).
-func Speedup(a, b *Schedule) float64 {
-	if b.Makespan == 0 {
-		return math.Inf(1)
-	}
-	return a.Makespan / b.Makespan
 }

@@ -1,6 +1,8 @@
 package orchestrator
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -24,12 +26,12 @@ func TestSimulateObserved(t *testing.T) {
 	if got := reg.Counter("data-local.orchestrator.steps"); got != 4 {
 		t.Errorf("steps counter = %d, want 4", got)
 	}
-	if got := reg.Gauge("data-local.orchestrator.makespan_s"); got != s.Makespan {
-		t.Errorf("makespan gauge = %v, want %v", got, s.Makespan)
+	prom := reg.PromText()
+	if want := "\ndata_local_orchestrator_makespan_s " + strconv.FormatFloat(s.Makespan, 'g', -1, 64) + "\n"; !strings.Contains(prom, want) {
+		t.Errorf("makespan gauge: want %q in\n%s", want, prom)
 	}
-	sum, err := reg.Summary("data-local.orchestrator.step_s")
-	if err != nil || sum.N != 4 {
-		t.Errorf("step series = %+v (%v)", sum, err)
+	if want := "\ndata_local_orchestrator_step_s_count 4\n"; !strings.Contains(prom, want) {
+		t.Errorf("step series: want %q in\n%s", want, prom)
 	}
 	spans := reg.Spans()
 	if len(spans) != 4 {
@@ -63,7 +65,7 @@ func TestSimulateObservedDeterministic(t *testing.T) {
 		if _, err := SimulateObserved(wf, inf, p, "data-local", reg); err != nil {
 			t.Fatal(err)
 		}
-		return reg.PromText(), reg.TraceText()
+		return reg.PromText(), fmt.Sprint(reg.Spans())
 	}
 	p1, t1 := render()
 	p2, t2 := render()
@@ -71,7 +73,7 @@ func TestSimulateObservedDeterministic(t *testing.T) {
 		t.Errorf("PromText differs across runs:\n--- first\n%s--- second\n%s", p1, p2)
 	}
 	if t1 != t2 {
-		t.Errorf("TraceText differs across runs")
+		t.Errorf("spans differ across runs")
 	}
 }
 

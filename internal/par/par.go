@@ -1,7 +1,7 @@
 // Package par is the repo's deterministic parallel-execution substrate.
 //
 // Every statistically heavy path in the reproduction (bootstrap resampling,
-// k-means assignment, fault/placement sweeps, report rendering) follows the
+// fault/placement sweeps, report rendering) follows the
 // same recipe: split the work into a *fixed* number of shards, give each
 // shard an independent RNG derived from the root seed with a SplitMix64
 // seed splitter (counter-based seeding in the spirit of Salmon et al.,
@@ -52,7 +52,7 @@ type options struct {
 	grain   int
 }
 
-// Option configures For / MapReduce executions.
+// Option configures For / MapReduceN executions.
 type Option func(*options)
 
 // Workers bounds the worker pool. Values below 1 fall back to 1; the
@@ -65,19 +65,6 @@ func Workers(n int) Option {
 			o.workers = n
 		} else {
 			o.workers = 1
-		}
-	}
-}
-
-// Shards overrides the fixed shard count (default 32, clamped to the input
-// size). Changing the shard count changes shard boundaries and therefore
-// per-shard seeds and float merge order: results are deterministic per
-// shard count, not across shard counts. Use it in benchmarks or when a
-// workload needs finer-grained load balancing.
-func Shards(n int) Option {
-	return func(o *options) {
-		if n >= 1 {
-			o.shards = n
 		}
 	}
 }
@@ -113,14 +100,6 @@ func (o options) workersFor(n, nShards int) int {
 		return 1
 	}
 	return o.workers
-}
-
-// ShardCount reports how many shards an input of n items splits into under
-// the given options — the size callers need to pre-allocate per-shard
-// scratch rows for ForShards bodies.
-func ShardCount(n int, opts ...Option) int {
-	o := buildOptions(opts)
-	return min(o.shards, n)
 }
 
 // SplitSeed derives the shard-th sub-seed from a root seed: draw shard of
@@ -230,14 +209,6 @@ func MapReduceN[R any](n int, mapShard func(shard, lo, hi int) (R, error), merge
 		acc = merge(acc, results[s])
 	}
 	return acc, nil
-}
-
-// MapReduce is MapReduceN over a slice: each shard maps its contiguous
-// chunk of items to one partial result, and partials merge in shard order.
-func MapReduce[T, R any](items []T, mapShard func(shard int, chunk []T) (R, error), merge func(R, R) R, opts ...Option) (R, error) {
-	return MapReduceN(len(items), func(shard, lo, hi int) (R, error) {
-		return mapShard(shard, items[lo:hi])
-	}, merge, opts...)
 }
 
 // MapReduceScratch is MapReduceN with a per-shard scratch value recycled

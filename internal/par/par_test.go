@@ -69,9 +69,9 @@ func TestMapReduceDeterministicAcrossWorkers(t *testing.T) {
 		xs[i] = rng.NormFloat64() * 1e6
 	}
 	sum := func(workers int) float64 {
-		v, err := MapReduce(xs, func(_ int, chunk []float64) (float64, error) {
+		v, err := MapReduceN(len(xs), func(_, lo, hi int) (float64, error) {
 			s := 0.0
-			for _, x := range chunk {
+			for _, x := range xs[lo:hi] {
 				s += x
 			}
 			return s, nil
@@ -129,14 +129,14 @@ func TestMapReduceErrorLowestShardWins(t *testing.T) {
 			return 0, fmt.Errorf("shard %d", shard)
 		}
 		return 1, nil
-	}, func(a, b int) int { return a + b }, Workers(8), Shards(16), Grain(1))
+	}, func(a, b int) int { return a + b }, Workers(8), Grain(1))
 	if err != errLow {
 		t.Errorf("err = %v, want the lowest-indexed shard error", err)
 	}
 }
 
 func TestMapReduceEmptyInput(t *testing.T) {
-	got, err := MapReduce(nil, func(_ int, chunk []int) (int, error) { return len(chunk), nil },
+	got, err := MapReduceN(0, func(_, lo, hi int) (int, error) { return hi - lo, nil },
 		func(a, b int) int { return a + b })
 	if err != nil || got != 0 {
 		t.Errorf("empty input = (%d, %v), want (0, nil)", got, err)
@@ -146,7 +146,7 @@ func TestMapReduceEmptyInput(t *testing.T) {
 func TestWorkersOneRunsInline(t *testing.T) {
 	// Shard order must be strictly sequential with one worker.
 	var order []int
-	ForShards(100, func(shard, _, _ int) { order = append(order, shard) }, Workers(1), Shards(10))
+	ForShards(100, func(shard, _, _ int) { order = append(order, shard) }, Workers(1))
 	for i, s := range order {
 		if s != i {
 			t.Fatalf("shard order with Workers(1) = %v", order)
@@ -176,20 +176,6 @@ func TestGrainFallbackRunsInline(t *testing.T) {
 		func(a, b int) int { return a + b }, Workers(8), Grain(1))
 	if seq != 1000 || parl != 1000 {
 		t.Errorf("sums: inline %d, pooled %d, want 1000", seq, parl)
-	}
-}
-
-func TestShardCount(t *testing.T) {
-	for _, tc := range []struct {
-		n, want int
-		opts    []Option
-	}{
-		{0, 0, nil}, {1, 1, nil}, {31, 31, nil}, {32, 32, nil},
-		{50000, 32, nil}, {100, 10, []Option{Shards(10)}},
-	} {
-		if got := ShardCount(tc.n, tc.opts...); got != tc.want {
-			t.Errorf("ShardCount(%d) = %d, want %d", tc.n, got, tc.want)
-		}
 	}
 }
 
@@ -259,9 +245,9 @@ func benchMapReduce(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := MapReduce(xs, func(_ int, chunk []float64) (float64, error) {
+		_, err := MapReduceN(len(xs), func(_, lo, hi int) (float64, error) {
 			s := 0.0
-			for _, x := range chunk {
+			for _, x := range xs[lo:hi] {
 				s += x * x
 			}
 			return s, nil

@@ -6,7 +6,7 @@
 // where a controller steers the simulated signal — the digital-twin use the
 // paper highlights for application 3.7.
 //
-// Accuracy is reported as Total Vector Error (TVE), the IEEE C37.118
+// Its tests score accuracy as Total Vector Error (TVE), the IEEE C37.118
 // metric: |estimated phasor − true phasor| / |true phasor|.
 package pmu
 
@@ -70,14 +70,6 @@ func (s *Signal) Sample(t float64, rng *prng.Rand) float64 {
 type Phasor struct {
 	Magnitude float64 // RMS-scaled magnitude (peak/√2 convention not used: peak magnitude)
 	PhaseRad  float64
-}
-
-// TVE returns the total vector error of the estimate against the true
-// phasor, per IEEE C37.118.
-func (p Phasor) TVE(truth Phasor) float64 {
-	ex := p.Magnitude*math.Cos(p.PhaseRad) - truth.Magnitude*math.Cos(truth.PhaseRad)
-	ey := p.Magnitude*math.Sin(p.PhaseRad) - truth.Magnitude*math.Sin(truth.PhaseRad)
-	return math.Hypot(ex, ey) / truth.Magnitude
 }
 
 // Estimator is a DFT-based synchrophasor estimator.

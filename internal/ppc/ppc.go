@@ -341,17 +341,3 @@ func Decompress(a *Archive) ([]File, error) {
 	}
 	return out, nil
 }
-
-// ComparePermutations compresses the same corpus under each permutation and
-// returns name → compression ratio.
-func ComparePermutations(ctx context.Context, files []File, perms []Permutation, opts Options) (map[string]float64, error) {
-	out := map[string]float64{}
-	for _, p := range perms {
-		a, err := Compress(ctx, files, p, opts)
-		if err != nil {
-			return nil, fmt.Errorf("ppc: permutation %s: %w", p.Name(), err)
-		}
-		out[p.Name()] = a.Ratio()
-	}
-	return out, nil
-}

@@ -48,11 +48,13 @@ func TestRoundTripAllPermutations(t *testing.T) {
 // arrival order.
 func TestPermutationImprovesRatio(t *testing.T) {
 	files := corpus(t)
-	ratios, err := ComparePermutations(context.Background(), files,
-		[]Permutation{Identity{}, ByName{}, ByContent{}},
-		Options{BlockSize: 16 << 10, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	ratios := map[string]float64{}
+	for _, p := range []Permutation{Identity{}, ByName{}, ByContent{}} {
+		a, err := Compress(context.Background(), files, p, Options{BlockSize: 16 << 10, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratios[p.Name()] = a.Ratio()
 	}
 	if ratios["by-name"] >= ratios["identity"] {
 		t.Errorf("by-name ratio %.4f not better than identity %.4f", ratios["by-name"], ratios["identity"])

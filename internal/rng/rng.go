@@ -141,17 +141,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a uniform random permutation of [0, n), like math/rand.Perm.
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle permutes n elements with Fisher-Yates, calling swap(i, j) for
 // each exchange. It panics if n < 0.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {

@@ -142,17 +142,19 @@ func TestIntnUniform(t *testing.T) {
 	r.Intn(0)
 }
 
+// Shuffling the identity yields a permutation of [0, n).
 func TestPermIsPermutation(t *testing.T) {
 	r := rng.New(8)
 	for _, n := range []int{0, 1, 5, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
 		}
+		r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v not a permutation", n, p)
+				t.Fatalf("shuffle of %d = %v not a permutation", n, p)
 			}
 			seen[v] = true
 		}

@@ -265,12 +265,3 @@ func DecodeBundle(data []byte) (*Pack, error) {
 	}
 	return p, nil
 }
-
-// Artifacts returns the blobs as the string map an exp.Result carries.
-func (p *Pack) Artifacts() map[string]string {
-	out := make(map[string]string, len(p.Blobs))
-	for n, b := range p.Blobs {
-		out[n] = string(b)
-	}
-	return out
-}

@@ -52,9 +52,6 @@ func DevKey() Key { return NewHMACKey([]byte("runpack-dev-key/v1")) }
 // Zero reports whether the key is unset.
 func (k Key) Zero() bool { return k.algo == "" }
 
-// Algo returns the key's algorithm.
-func (k Key) Algo() Algo { return k.algo }
-
 // Public returns the hex-encoded ed25519 public key ("" for HMAC keys).
 func (k Key) Public() string {
 	if k.algo != AlgoEd25519 {

@@ -8,16 +8,13 @@ package scenarios
 // survey perturbation), records numeric observations, and asserts the
 // behaviour the paper's application sections motivate.
 //
-// Ops are data: their identity is OpFingerprint (canonical JSON over the
-// exported fields, prefixed with the kind), so a composition's behaviour is
-// fully determined by values that can be hashed, stored, and diffed — the
-// same declarative-identity discipline exp.Spec applies to whole
-// experiments, pushed down one level.
+// Ops are data: a composition's behaviour is fully determined by its ops'
+// kinds and exported fields, values that can be hashed, stored, and
+// diffed — the same declarative-identity discipline exp.Spec applies to
+// whole experiments, pushed down one level.
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -33,7 +30,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/faas"
 	"repro/internal/interactive"
-	"repro/internal/jcs"
 	"repro/internal/mlir"
 	"repro/internal/netlink"
 	"repro/internal/orchestrator"
@@ -55,29 +51,6 @@ type Op interface {
 	Kind() string
 	// Apply executes the op against the composition state.
 	Apply(ctx context.Context, env *exp.Env, st *State) error
-}
-
-// opVersion is folded into every op fingerprint; bump it when the
-// fingerprint recipe changes.
-const opVersion = "scenarios/op/v1"
-
-// OpFingerprint returns the canonical identity of an op: SHA-256 over the
-// version, the kind, and the canonical (RFC 8785) JSON of its parameters.
-// Two ops with the same fingerprint behave identically under the same Env.
-func OpFingerprint(op Op) (string, error) {
-	body, err := jcs.Marshal(op)
-	if err != nil {
-		return "", fmt.Errorf("scenarios: fingerprinting op %s: %w", op.Kind(), err)
-	}
-	h := sha256.New()
-	field := func(b []byte) {
-		fmt.Fprintf(h, "%d:", len(b))
-		h.Write(b)
-	}
-	field([]byte(opVersion))
-	field([]byte(op.Kind()))
-	field(body)
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // hashUniform derives a uniform in [0,1) from a seed and a key, with no
@@ -1136,7 +1109,8 @@ func (op MLIRLoweringEquivalence) Apply(ctx context.Context, env *exp.Env, st *S
 
 // ---------------------------------------------------------------------------
 // Generator-facing substrate (energy fleets, survey perturbation, corpus
-// mutation) — the what-if axes ROADMAP item 2 asks for beyond Table 2.
+// mutation) — the what-if axes beyond Table 2 that the generated families
+// of "Composable scenarios and generated families" (DESIGN.md §10) sweep.
 
 // EnergyFleet places a seeded VM fleet with the named placer, evaluates its
 // energy report, and releases the reservations. The conservation identity

@@ -2,8 +2,6 @@ package scenarios
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 
@@ -27,24 +25,4 @@ func RunOps(ctx context.Context, env *exp.Env, ops []Op) (*State, error) {
 		}
 	}
 	return st, nil
-}
-
-// CompositionFingerprint is the canonical identity of an op sequence:
-// SHA-256 over the length-prefixed per-op fingerprints. Two compositions
-// with the same fingerprint run the same ops with the same parameters.
-func CompositionFingerprint(ops []Op) (string, error) {
-	h := sha256.New()
-	field := func(b []byte) {
-		fmt.Fprintf(h, "%d:", len(b))
-		h.Write(b)
-	}
-	field([]byte("scenarios/composition/v1"))
-	for _, op := range ops {
-		fp, err := OpFingerprint(op)
-		if err != nil {
-			return "", err
-		}
-		field([]byte(fp))
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }

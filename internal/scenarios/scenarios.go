@@ -42,12 +42,6 @@ func (s Scenario) Run(ctx context.Context, env *exp.Env) error {
 	return err
 }
 
-// Exec executes the scenario's composition and returns the final state
-// (with its observations) for callers that inspect substrate outcomes.
-func (s Scenario) Exec(ctx context.Context, env *exp.Env) (*State, error) {
-	return RunOps(ctx, env, s.Ops)
-}
-
 // Shared compositions for tools selected by several applications.
 
 func fastPathOps() []Op { return []Op{FastPath{PayloadBytes: 64 << 10}} }

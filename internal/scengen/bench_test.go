@@ -16,10 +16,7 @@ import (
 // BenchmarkScenGenConfigs measures drawing every configuration of the
 // faults family — the pure (seed, i) → ops generation path, no execution.
 func BenchmarkScenGenConfigs(b *testing.B) {
-	f, err := FamilyByName("faults")
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := family(b, "faults")
 	env := testEnv(1, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -35,10 +32,7 @@ func BenchmarkScenGenConfigs(b *testing.B) {
 // BenchmarkScenFamilyCold measures one full uncached faults-family sweep:
 // generate, run, and invariant-check all configurations, no store.
 func BenchmarkScenFamilyCold(b *testing.B) {
-	f, err := FamilyByName("faults")
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := family(b, "faults")
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -56,10 +50,7 @@ func BenchmarkScenFamilyCold(b *testing.B) {
 // BenchmarkScenFamilyWarm measures the same sweep over a primed store:
 // every shard is a cas hit and zero configuration bodies execute.
 func BenchmarkScenFamilyWarm(b *testing.B) {
-	f, err := FamilyByName("faults")
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := family(b, "faults")
 	ctx := context.Background()
 	store := cas.NewMemStore()
 	if _, _, err := RunFamily(ctx, testEnv(0, store), f); err != nil {

@@ -59,10 +59,7 @@ func TestConfigInvariantsAndDeterminism(t *testing.T) {
 // per (step, attempt), so the fault set at p is a subset of the fault set
 // at p' > p.
 func TestFaultMonotonicity(t *testing.T) {
-	f, err := FamilyByName("faults")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := family(t, "faults")
 	env := testEnv(0, nil)
 	for i := 0; i < f.Size; i += propStride {
 		cfg := f.Config(env, i)
@@ -97,10 +94,7 @@ func TestFaultMonotonicity(t *testing.T) {
 // generated set — the seeds are deterministic, so this is a pinned
 // property, not a flaky statistical claim.
 func TestSlackMonotonicity(t *testing.T) {
-	f, err := FamilyByName("placement")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := family(t, "placement")
 	env := testEnv(0, nil)
 	for i := 0; i < f.Size; i += propStride {
 		wf := f.Config(env, i).Ops[0]

@@ -22,8 +22,7 @@ import (
 )
 
 // Config is one generated what-if configuration: a composition of
-// substrate ops, pure in (family seed, index). Its identity is
-// scenarios.CompositionFingerprint over Ops.
+// substrate ops, pure in (family seed, index).
 type Config struct {
 	Family string
 	Index  int
@@ -91,16 +90,6 @@ func Families() []Family {
 			gen:  genCorpus,
 		},
 	}
-}
-
-// FamilyByName resolves a family, erroring on unknown names.
-func FamilyByName(name string) (Family, error) {
-	for _, f := range Families() {
-		if f.Name == name {
-			return f, nil
-		}
-	}
-	return Family{}, fmt.Errorf("scengen: unknown family %q", name)
 }
 
 // drawWorkflow draws a random layered DAG of 3–8 steps: each step depends

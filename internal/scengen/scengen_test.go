@@ -3,7 +3,9 @@ package scengen
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cas"
@@ -48,35 +50,51 @@ func TestFamiliesShape(t *testing.T) {
 	if total < 1000 {
 		t.Fatalf("families generate %d configurations, want ≥ 1000", total)
 	}
-	if _, err := FamilyByName("faults"); err != nil {
-		t.Fatal(err)
+}
+
+// family returns the named family, failing the test on an unknown name.
+func family(t testing.TB, name string) Family {
+	t.Helper()
+	for _, f := range Families() {
+		if f.Name == name {
+			return f
+		}
 	}
-	if _, err := FamilyByName("nope"); err == nil {
-		t.Fatal("unknown family resolved")
+	t.Fatalf("unknown family %q", name)
+	return Family{}
+}
+
+// composition renders ops as kind and JSON parameters, one per line: two
+// compositions render alike exactly when they run the same ops with the
+// same parameters.
+func composition(t *testing.T, ops []scenarios.Op) string {
+	t.Helper()
+	var b strings.Builder
+	for _, op := range ops {
+		data, err := json.Marshal(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %s\n", op.Kind(), data)
 	}
+	return b.String()
 }
 
 // Configuration i is a pure function of (env seed, family, i): regenerating
-// it yields the identical composition (same fingerprint), and neighbouring
-// indices yield different ones.
+// it yields the identical composition, and neighbouring indices yield
+// different ones.
 func TestConfigPurity(t *testing.T) {
 	env := testEnv(0, nil)
 	for _, f := range Families() {
 		for _, i := range []int{0, 1, 17, f.Size - 1} {
-			a, err := scenarios.CompositionFingerprint(f.Config(env, i).Ops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := scenarios.CompositionFingerprint(f.Config(env, i).Ops)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := composition(t, f.Config(env, i).Ops)
+			b := composition(t, f.Config(env, i).Ops)
 			if a != b {
-				t.Fatalf("%s[%d] not pure: %s vs %s", f.Name, i, a, b)
+				t.Fatalf("%s[%d] not pure:\n%s\nvs\n%s", f.Name, i, a, b)
 			}
 		}
-		a, _ := scenarios.CompositionFingerprint(f.Config(env, 0).Ops)
-		b, _ := scenarios.CompositionFingerprint(f.Config(env, 1).Ops)
+		a := composition(t, f.Config(env, 0).Ops)
+		b := composition(t, f.Config(env, 1).Ops)
 		if a == b {
 			t.Fatalf("%s[0] and %s[1] generated identical compositions", f.Name, f.Name)
 		}

@@ -11,10 +11,7 @@ import (
 // stored shard aggregate. These digests pin the keys the corpus family's
 // two shards are stored under at env seed 1.
 func TestShardKeysPinned(t *testing.T) {
-	f, err := FamilyByName("corpus")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := family(t, "corpus")
 	store := cas.NewMemStore()
 	if _, _, err := RunFamily(context.Background(), testEnv(4, store), f); err != nil {
 		t.Fatal(err)

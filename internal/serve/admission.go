@@ -82,7 +82,7 @@ func (c *CostModel) Admit(endpoint, key string, nowS float64) (float64, bool) {
 
 // hash01 maps (endpoint, key, seed) onto [0, 1): FNV-1a over the request
 // identity folded with the seed through rng.Split — the same primitive as
-// Env.SeedFor and clock.Sim.WorkDuration, so the model's randomness
+// Env.SeedFor and par.SplitSeed, so the model's randomness
 // depends only on its inputs, never on call order.
 func (c *CostModel) hash01(endpoint, key string) float64 {
 	h := uint64(1469598103934665603)

@@ -195,12 +195,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Metrics returns the server's telemetry registry.
 func (s *Server) Metrics() *telemetry.Registry { return s.met }
 
-// Store returns the server's artifact store.
-func (s *Server) Store() cas.Store { return s.store }
-
-// Seed returns the default root seed applied to submissions that omit one.
-func (s *Server) Seed() int64 { return s.cfg.Seed }
-
 // PackPublicKey returns the hex ed25519 public key runpack bundles are
 // signed under ("" when the configured key is HMAC). A client holding only
 // this string can verify a served bundle fully offline.

@@ -137,7 +137,7 @@ func TestSubmitPollFetch(t *testing.T) {
 		t.Fatalf("body executed %d times", got)
 	}
 	if srv.Metrics().Counter("serve.completed") != 1 || srv.Metrics().Counter("serve.accepted") != 1 {
-		t.Fatalf("counters: %s", srv.Metrics().Snapshot())
+		t.Fatalf("counters:\n%s", srv.Metrics().PromText())
 	}
 }
 
@@ -244,7 +244,7 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Fatalf("overflow submit = %d, want 429", w.Code)
 	}
 	if srv.Metrics().Counter("serve.rejected") != 1 || srv.Metrics().Counter("serve.code.429") != 1 {
-		t.Fatalf("reject counters: %s", srv.Metrics().Snapshot())
+		t.Fatalf("reject counters:\n%s", srv.Metrics().PromText())
 	}
 	// The rejected submission left no job behind; polling it is 404.
 	if w := do(srv, http.MethodGet, "/experiments/"+JobID("synth/b2", 0), ""); w.Code != http.StatusNotFound {

@@ -1,9 +1,7 @@
 package stats
 
 import (
-	"fmt"
 	"math"
-	"sort"
 )
 
 // CategoricalDist is a frequency distribution over named categories. It is the
@@ -63,20 +61,6 @@ func (d *CategoricalDist) Total() int {
 	return total
 }
 
-// Categories returns the categories in registration order.
-func (d *CategoricalDist) Categories() []string {
-	return append([]string(nil), d.order...)
-}
-
-// Counts returns the counts aligned with Categories().
-func (d *CategoricalDist) Counts() []int {
-	out := make([]int, len(d.order))
-	for i, c := range d.order {
-		out[i] = d.counts[c]
-	}
-	return out
-}
-
 // Share returns category's fraction of the total, or 0 if the distribution
 // is empty.
 func (d *CategoricalDist) Share(category string) float64 {
@@ -85,15 +69,6 @@ func (d *CategoricalDist) Share(category string) float64 {
 		return 0
 	}
 	return float64(d.counts[category]) / float64(total)
-}
-
-// Shares returns the fraction per category aligned with Categories().
-func (d *CategoricalDist) Shares() []float64 {
-	out := make([]float64, len(d.order))
-	for i, c := range d.order {
-		out[i] = d.Share(c)
-	}
-	return out
 }
 
 // ArgMax returns the category with the highest count. Ties resolve to the
@@ -199,41 +174,6 @@ func (d *CategoricalDist) ChiSquareUniform() (statistic float64, dof int) {
 	return chi2, k - 1
 }
 
-// String renders "cat:count" pairs in registration order.
-func (d *CategoricalDist) String() string {
-	s := ""
-	for i, c := range d.order {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s:%d", c, d.counts[c])
-	}
-	return s
-}
-
-// Clone returns a deep copy of the distribution.
-func (d *CategoricalDist) Clone() *CategoricalDist {
-	nd := NewCategoricalDist(d.order...)
-	for _, c := range d.order {
-		nd.counts[c] = d.counts[c]
-	}
-	return nd
-}
-
-// Equal reports whether two distributions have identical categories (order
-// insensitive) and counts.
-func (d *CategoricalDist) Equal(o *CategoricalDist) bool {
-	if len(d.counts) != len(o.counts) {
-		return false
-	}
-	for c, n := range d.counts {
-		if o.counts[c] != n {
-			return false
-		}
-	}
-	return true
-}
-
 // IntHistogram is a frequency distribution over small integer values, the
 // data type behind the paper's Figure 3 (number of research directions
 // covered per institution). The zero value is ready to use.
@@ -252,25 +192,6 @@ func (h *IntHistogram) Observe(v int) {
 // Count returns the number of observations with value v.
 func (h *IntHistogram) Count(v int) int { return h.counts[v] }
 
-// Total returns the total number of observations.
-func (h *IntHistogram) Total() int {
-	t := 0
-	for _, c := range h.counts {
-		t += c
-	}
-	return t
-}
-
-// Values returns the observed values in ascending order.
-func (h *IntHistogram) Values() []int {
-	vs := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		vs = append(vs, v)
-	}
-	sort.Ints(vs)
-	return vs
-}
-
 // Buckets returns (value, count) pairs for the closed range [lo, hi],
 // including zero-count buckets, which is how Figure 3 draws its x axis 1..5.
 func (h *IntHistogram) Buckets(lo, hi int) (values, counts []int) {
@@ -279,30 +200,4 @@ func (h *IntHistogram) Buckets(lo, hi int) (values, counts []int) {
 		counts = append(counts, h.counts[v])
 	}
 	return values, counts
-}
-
-// MaxCount returns the largest bucket count (0 when empty).
-func (h *IntHistogram) MaxCount() int {
-	m := 0
-	for _, c := range h.counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// Mode returns the most frequent value; ties resolve to the smallest value.
-func (h *IntHistogram) Mode() (int, error) {
-	if len(h.counts) == 0 {
-		return 0, ErrEmpty
-	}
-	vs := h.Values()
-	best := vs[0]
-	for _, v := range vs[1:] {
-		if h.counts[v] > h.counts[best] {
-			best = v
-		}
-	}
-	return best, nil
 }

@@ -16,12 +16,12 @@ func TestCategoricalDistBasics(t *testing.T) {
 	d.Add("b", 3)
 	d.Observe("z") // auto-registered
 	if d.Count("a") != 1 || d.Count("b") != 3 || d.Count("z") != 1 {
-		t.Errorf("counts wrong: %s", d)
+		t.Errorf("counts wrong: %v", d.counts)
 	}
 	if d.Total() != 5 {
 		t.Errorf("Total = %d, want 5", d.Total())
 	}
-	cats := d.Categories()
+	cats := d.order
 	want := []string{"a", "b", "c", "z"}
 	if len(cats) != len(want) {
 		t.Fatalf("Categories = %v", cats)
@@ -31,9 +31,8 @@ func TestCategoricalDistBasics(t *testing.T) {
 			t.Errorf("Categories[%d] = %q, want %q", i, cats[i], want[i])
 		}
 	}
-	counts := d.Counts()
-	if counts[0] != 1 || counts[1] != 3 || counts[2] != 0 || counts[3] != 1 {
-		t.Errorf("Counts = %v", counts)
+	if d.Count("c") != 0 {
+		t.Errorf("registered but unobserved c = %d", d.Count("c"))
 	}
 }
 
@@ -60,8 +59,8 @@ func TestShares(t *testing.T) {
 		t.Errorf("interactive share = %v, want 0.12", got)
 	}
 	sum := 0.0
-	for _, s := range d.Shares() {
-		sum += s
+	for _, c := range d.order {
+		sum += d.Share(c)
 	}
 	if !almostEqual(sum, 1, 1e-12) {
 		t.Errorf("shares sum = %v", sum)
@@ -96,7 +95,7 @@ func TestArgMaxArgMin(t *testing.T) {
 
 func TestEntropyAndBalance(t *testing.T) {
 	d := NewCategoricalDist("a", "b", "c", "d")
-	for _, c := range d.Categories() {
+	for _, c := range []string{"a", "b", "c", "d"} {
 		d.Add(c, 5)
 	}
 	if got := d.Entropy(); !almostEqual(got, 2, 1e-12) {
@@ -144,37 +143,15 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-func TestCloneAndEqual(t *testing.T) {
-	d := NewCategoricalDist("a", "b")
-	d.Add("a", 2)
-	c := d.Clone()
-	if !d.Equal(c) {
-		t.Error("clone should be equal")
-	}
-	c.Observe("a")
-	if d.Equal(c) {
-		t.Error("mutated clone should differ")
-	}
-	if d.Count("a") != 2 {
-		t.Error("mutating clone affected original")
-	}
-}
-
 func TestIntHistogram(t *testing.T) {
 	var h IntHistogram
-	if h.Total() != 0 || h.MaxCount() != 0 {
+	if h.Count(1) != 0 {
 		t.Error("zero-value histogram should be empty")
-	}
-	if _, err := h.Mode(); err != ErrEmpty {
-		t.Errorf("Mode on empty err = %v", err)
 	}
 	// Fig 3 data: directions-covered per institution {1:5, 2:1, 3:2, 4:1}.
 	obs := []int{1, 1, 1, 1, 1, 2, 3, 3, 4}
 	for _, v := range obs {
 		h.Observe(v)
-	}
-	if h.Total() != 9 {
-		t.Errorf("Total = %d, want 9", h.Total())
 	}
 	values, counts := h.Buckets(1, 5)
 	wantCounts := []int{5, 1, 2, 1, 0}
@@ -182,16 +159,6 @@ func TestIntHistogram(t *testing.T) {
 		if counts[i] != wantCounts[i] {
 			t.Errorf("bucket %d = %d, want %d", values[i], counts[i], wantCounts[i])
 		}
-	}
-	if mode, _ := h.Mode(); mode != 1 {
-		t.Errorf("Mode = %d, want 1", mode)
-	}
-	if h.MaxCount() != 5 {
-		t.Errorf("MaxCount = %d, want 5", h.MaxCount())
-	}
-	vs := h.Values()
-	if len(vs) != 4 || vs[0] != 1 || vs[3] != 4 {
-		t.Errorf("Values = %v", vs)
 	}
 }
 
@@ -207,7 +174,7 @@ func TestIntHistogramConservation(t *testing.T) {
 		for _, c := range counts {
 			sum += c
 		}
-		return sum == len(raw) && h.Total() == len(raw)
+		return sum == len(raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -230,8 +197,8 @@ func TestDistributionProperties(t *testing.T) {
 			d.Observe(cats[rng.Intn(k)])
 		}
 		var sum float64
-		for _, s := range d.Shares() {
-			sum += s
+		for _, c := range cats {
+			sum += d.Share(c)
 		}
 		if !almostEqual(sum, 1, 1e-9) {
 			t.Fatalf("shares sum %v", sum)

@@ -178,9 +178,3 @@ func Summarize(xs []float64) (Summary, error) {
 		Max:    max,
 	}, nil
 }
-
-// String renders the summary on one line, suitable for experiment logs.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
-}

@@ -103,23 +103,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestGeoAndHarmonicMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil || !almostEqual(g, 4, 1e-12) {
-		t.Errorf("GeoMean = %v, %v; want 4", g, err)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("GeoMean with zero should error")
-	}
-	h, err := HarmonicMean([]float64{1, 2, 4})
-	if err != nil || !almostEqual(h, 3.0/(1+0.5+0.25), 1e-12) {
-		t.Errorf("HarmonicMean = %v, %v", h, err)
-	}
-	if _, err := HarmonicMean(nil); err != ErrEmpty {
-		t.Errorf("HarmonicMean(nil) err = %v", err)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s, err := Summarize([]float64{1, 2, 3, 4, 5})
 	if err != nil {
@@ -127,9 +110,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
 		t.Errorf("unexpected summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("String should be non-empty")
 	}
 	if _, err := Summarize(nil); err != ErrEmpty {
 		t.Errorf("Summarize(nil) err = %v", err)
@@ -177,5 +157,22 @@ func TestVarianceProperties(t *testing.T) {
 		if !almostEqual(vx, vy, 1e-6*(1+math.Abs(vx))) {
 			t.Fatalf("variance not shift-invariant: %v vs %v", vx, vy)
 		}
+	}
+}
+
+func TestGeoAndHarmonicMean(t *testing.T) {
+	g, err := GeoMean([]float64{1, 4, 16})
+	if err != nil || !almostEqual(g, 4, 1e-12) {
+		t.Errorf("GeoMean = %v, %v; want 4", g, err)
+	}
+	if _, err := GeoMean([]float64{1, 0}); err == nil {
+		t.Error("GeoMean with zero should error")
+	}
+	h, err := HarmonicMean([]float64{1, 2, 4})
+	if err != nil || !almostEqual(h, 3.0/(1+0.5+0.25), 1e-12) {
+		t.Errorf("HarmonicMean = %v, %v", h, err)
+	}
+	if _, err := HarmonicMean(nil); err != ErrEmpty {
+		t.Errorf("HarmonicMean(nil) err = %v", err)
 	}
 }

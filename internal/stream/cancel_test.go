@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// These tests pin the cancellation behaviour of the two operators feeding
-// the parallel report path: Tee and Merge must release their goroutines on
+// These tests pin the cancellation behaviour of the fan-out and fan-in
+// operators: Tee and Merge must release their goroutines on
 // context cancellation (no leak even with stalled consumers) and surface
 // ctx.Err() through Collect.
 
@@ -43,7 +43,7 @@ func TestTeeCancellationNoLeak(t *testing.T) {
 
 	// Drain a few items from one branch only.
 	got := 0
-	for range a.Chan() {
+	for range a.ch {
 		got++
 		if got == 3 {
 			break
@@ -101,7 +101,7 @@ func TestMergeCancellationNoLeak(t *testing.T) {
 
 	// Consume a handful, then cancel mid-flight.
 	got := 0
-	for range m.Chan() {
+	for range m.ch {
 		got++
 		if got == 5 {
 			break
@@ -129,7 +129,7 @@ func TestMergeCompletesAndClosesOutput(t *testing.T) {
 		t.Errorf("merged %d items, want 3", len(out))
 	}
 	// The output channel must be closed once all inputs close.
-	if _, ok := <-m.Chan(); ok {
+	if _, ok := <-m.ch; ok {
 		t.Error("merge output not closed after inputs drained")
 	}
 }

@@ -49,15 +49,6 @@ func Workers(n int) Option {
 // keyless operators). Costs a reordering buffer.
 func Ordered() Option { return func(o *options) { o.ordered = true } }
 
-// Buffer sets the output channel capacity.
-func Buffer(n int) Option {
-	return func(o *options) {
-		if n >= 0 {
-			o.buffer = n
-		}
-	}
-}
-
 func buildOptions(opts []Option) options {
 	o := options{workers: runtime.NumCPU(), buffer: defaultBuffer}
 	for _, fn := range opts {
@@ -82,31 +73,6 @@ func FromSlice[T any](ctx context.Context, xs []T) *Stream[T] {
 	return &Stream[T]{ch: ch, ctx: ctx}
 }
 
-// FromChan wraps an existing channel as a stream. The producer owns closing.
-func FromChan[T any](ctx context.Context, ch <-chan T) *Stream[T] {
-	return &Stream[T]{ch: ch, ctx: ctx}
-}
-
-// Generate emits n items produced by gen(i), then closes the stream.
-func Generate[T any](ctx context.Context, n int, gen func(int) T) *Stream[T] {
-	ch := make(chan T, defaultBuffer)
-	go func() {
-		defer close(ch)
-		for i := 0; i < n; i++ {
-			select {
-			case ch <- gen(i):
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return &Stream[T]{ch: ch, ctx: ctx}
-}
-
-// Chan exposes the underlying receive channel (for integration with select
-// loops and tests).
-func (s *Stream[T]) Chan() <-chan T { return s.ch }
-
 // Collect drains the stream into a slice. It stops early if the context is
 // cancelled, returning what was collected and ctx.Err().
 func (s *Stream[T]) Collect() ([]T, error) {
@@ -121,22 +87,6 @@ func (s *Stream[T]) Collect() ([]T, error) {
 		case <-s.ctx.Done():
 			// Drain nothing further; report cancellation.
 			return out, s.ctx.Err()
-		}
-	}
-}
-
-// Count consumes the stream and returns the number of items.
-func (s *Stream[T]) Count() (int, error) {
-	n := 0
-	for {
-		select {
-		case _, ok := <-s.ch:
-			if !ok {
-				return n, nil
-			}
-			n++
-		case <-s.ctx.Done():
-			return n, s.ctx.Err()
 		}
 	}
 }

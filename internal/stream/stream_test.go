@@ -9,6 +9,31 @@ import (
 	"time"
 )
 
+// ints streams 0, 1, …, n-1.
+func ints(ctx context.Context, n int) *Stream[int] {
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = i
+	}
+	return FromSlice(ctx, xs)
+}
+
+// naturals streams 0, 1, 2, … until ctx is cancelled.
+func naturals(ctx context.Context) *Stream[int] {
+	ch := make(chan int)
+	go func() {
+		defer close(ch)
+		for i := 0; ; i++ {
+			select {
+			case ch <- i:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return &Stream[int]{ch: ch, ctx: ctx}
+}
+
 func TestFromSliceCollect(t *testing.T) {
 	ctx := context.Background()
 	got, err := FromSlice(ctx, []int{1, 2, 3}).Collect()
@@ -20,17 +45,9 @@ func TestFromSliceCollect(t *testing.T) {
 	}
 }
 
-func TestGenerateAndCount(t *testing.T) {
-	ctx := context.Background()
-	n, err := Generate(ctx, 100, func(i int) int { return i }).Count()
-	if err != nil || n != 100 {
-		t.Errorf("count = %d, %v", n, err)
-	}
-}
-
 func TestMapSingleWorkerPreservesOrder(t *testing.T) {
 	ctx := context.Background()
-	s := Generate(ctx, 50, func(i int) int { return i })
+	s := ints(ctx, 50)
 	out, err := Map(s, func(x int) int { return x * 2 }, Workers(1)).Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +61,7 @@ func TestMapSingleWorkerPreservesOrder(t *testing.T) {
 
 func TestMapFarmOrdered(t *testing.T) {
 	ctx := context.Background()
-	s := Generate(ctx, 200, func(i int) int { return i })
+	s := ints(ctx, 200)
 	out, err := Map(s, func(x int) int {
 		if x%7 == 0 {
 			time.Sleep(time.Millisecond) // jitter to scramble completion order
@@ -66,7 +83,7 @@ func TestMapFarmOrdered(t *testing.T) {
 
 func TestMapFarmUnorderedCompleteness(t *testing.T) {
 	ctx := context.Background()
-	s := Generate(ctx, 500, func(i int) int { return i })
+	s := ints(ctx, 500)
 	out, err := Map(s, func(x int) int { return x }, Workers(8)).Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +102,7 @@ func TestMapFarmUnorderedCompleteness(t *testing.T) {
 func TestMapFarmActuallyParallel(t *testing.T) {
 	ctx := context.Background()
 	var inFlight, maxIF int32
-	s := Generate(ctx, 16, func(i int) int { return i })
+	s := ints(ctx, 16)
 	_, err := Map(s, func(x int) int {
 		cur := atomic.AddInt32(&inFlight, 1)
 		for {
@@ -106,9 +123,120 @@ func TestMapFarmActuallyParallel(t *testing.T) {
 	}
 }
 
+func TestPipelineComposition(t *testing.T) {
+	// FastFlow-style pipeline: source → map (farm) → map (farm) → collect.
+	ctx := context.Background()
+	src := ints(ctx, 1000)
+	squared := Map(src, func(x int) int { return x * x }, Workers(4), Ordered())
+	parity := Map(squared, func(x int) int { return x % 2 }, Workers(2), Ordered())
+	out, err := parity.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1000 {
+		t.Fatalf("len = %d, want 1000", len(out))
+	}
+	for i, v := range out {
+		if v != i%2 {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i%2)
+		}
+	}
+}
+
+func TestCancellationStopsPipeline(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := naturals(ctx)
+	mapped := Map(src, func(x int) int { return x }, Workers(2))
+	got := 0
+	for range mapped.ch {
+		got++
+		if got == 10 {
+			cancel()
+			break
+		}
+	}
+	// The pipeline must wind down; give it a moment and ensure no deadlock
+	// by draining whatever remains buffered.
+	deadline := time.After(2 * time.Second)
+	for {
+		select {
+		case _, ok := <-mapped.ch:
+			if !ok {
+				return
+			}
+		case <-deadline:
+			t.Fatal("pipeline did not terminate after cancel")
+		}
+	}
+}
+
+func TestCollectReportsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	ch := make(chan int) // never closed, never written
+	s := &Stream[int]{ch: ch, ctx: ctx}
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+	}()
+	_, err := s.Collect()
+	if err == nil {
+		t.Error("expected context error")
+	}
+}
+
+func TestWorkersOptionClamps(t *testing.T) {
+	o := buildOptions([]Option{Workers(-3)})
+	if o.workers != 1 {
+		t.Errorf("workers = %d", o.workers)
+	}
+}
+
+// Throughput sanity: a 4-worker farm on CPU-bound work must beat 1 worker.
+// Guarded by -short to keep CI fast and avoid flakiness on loaded machines.
+func TestFarmSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	work := func(x int) int {
+		acc := x
+		for i := 0; i < 20000; i++ {
+			acc = acc*31 + i
+		}
+		return acc
+	}
+	run := func(workers int) time.Duration {
+		ctx := context.Background()
+		start := time.Now()
+		s := ints(ctx, 2000)
+		_, err := Map(s, work, Workers(workers)).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	seq := run(1)
+	par := run(4)
+	if par > seq {
+		t.Logf("warning: farm(4)=%v not faster than farm(1)=%v (loaded machine?)", par, seq)
+	}
+	speedup := float64(seq) / float64(par)
+	if speedup < 1.2 {
+		t.Logf("speedup only %.2fx", speedup)
+	}
+}
+
+func ExampleMap() {
+	ctx := context.Background()
+	s := FromSlice(ctx, []int{1, 2, 3, 4})
+	out, _ := Map(s, func(x int) int { return x * 10 }, Workers(2), Ordered()).Collect()
+	fmt.Println(out)
+	// Output: [10 20 30 40]
+}
+
 func TestFilter(t *testing.T) {
 	ctx := context.Background()
-	s := Generate(ctx, 20, func(i int) int { return i })
+	s := ints(ctx, 20)
 	out, err := Filter(s, func(x int) bool { return x%2 == 0 }).Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -158,31 +286,16 @@ func TestFlatMap(t *testing.T) {
 
 func TestReduce(t *testing.T) {
 	ctx := context.Background()
-	s := Generate(ctx, 101, func(i int) int { return i })
+	s := ints(ctx, 101)
 	sum, err := Reduce(s, 0, func(a, x int) int { return a + x })
 	if err != nil || sum != 5050 {
 		t.Errorf("sum = %d, %v", sum, err)
 	}
 }
 
-func TestPipelineComposition(t *testing.T) {
-	// FastFlow-style pipeline: generate → map (farm) → filter → reduce.
-	ctx := context.Background()
-	src := Generate(ctx, 1000, func(i int) int { return i })
-	squared := Map(src, func(x int) int { return x * x }, Workers(4), Ordered())
-	even := Filter(squared, func(x int) bool { return x%2 == 0 })
-	n, err := even.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 500 {
-		t.Errorf("count = %d, want 500", n)
-	}
-}
-
 func TestTee(t *testing.T) {
 	ctx := context.Background()
-	a, b := Tee(Generate(ctx, 50, func(i int) int { return i }))
+	a, b := Tee(ints(ctx, 50))
 	done := make(chan []int, 2)
 	for _, s := range []*Stream[int]{a, b} {
 		go func(s *Stream[int]) {
@@ -198,8 +311,8 @@ func TestTee(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	ctx := context.Background()
-	a := Generate(ctx, 30, func(i int) int { return i })
-	b := Generate(ctx, 20, func(i int) int { return 100 + i })
+	a := ints(ctx, 30)
+	b := Map(ints(ctx, 20), func(i int) int { return 100 + i })
 	out, err := Merge(ctx, a, b).Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -207,99 +320,4 @@ func TestMerge(t *testing.T) {
 	if len(out) != 50 {
 		t.Errorf("merged = %d items", len(out))
 	}
-}
-
-func TestCancellationStopsPipeline(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	src := Generate(ctx, 1<<30, func(i int) int { return i }) // effectively infinite
-	mapped := Map(src, func(x int) int { return x }, Workers(2))
-	got := 0
-	for range mapped.Chan() {
-		got++
-		if got == 10 {
-			cancel()
-			break
-		}
-	}
-	// The pipeline must wind down; give it a moment and ensure no deadlock
-	// by draining whatever remains buffered.
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case _, ok := <-mapped.Chan():
-			if !ok {
-				return
-			}
-		case <-deadline:
-			t.Fatal("pipeline did not terminate after cancel")
-		}
-	}
-}
-
-func TestCollectReportsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := make(chan int) // never closed, never written
-	s := FromChan(ctx, ch)
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	_, err := s.Collect()
-	if err == nil {
-		t.Error("expected context error")
-	}
-}
-
-func TestWorkersOptionClamps(t *testing.T) {
-	o := buildOptions([]Option{Workers(-3)})
-	if o.workers != 1 {
-		t.Errorf("workers = %d", o.workers)
-	}
-	o = buildOptions([]Option{Buffer(-1)})
-	if o.buffer != defaultBuffer {
-		t.Errorf("buffer = %d", o.buffer)
-	}
-}
-
-// Throughput sanity: a 4-worker farm on CPU-bound work must beat 1 worker.
-// Guarded by -short to keep CI fast and avoid flakiness on loaded machines.
-func TestFarmSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	work := func(x int) int {
-		acc := x
-		for i := 0; i < 20000; i++ {
-			acc = acc*31 + i
-		}
-		return acc
-	}
-	run := func(workers int) time.Duration {
-		ctx := context.Background()
-		start := time.Now()
-		s := Generate(ctx, 2000, func(i int) int { return i })
-		_, err := Map(s, work, Workers(workers)).Count()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	seq := run(1)
-	par := run(4)
-	if par > seq {
-		t.Logf("warning: farm(4)=%v not faster than farm(1)=%v (loaded machine?)", par, seq)
-	}
-	speedup := float64(seq) / float64(par)
-	if speedup < 1.2 {
-		t.Logf("speedup only %.2fx", speedup)
-	}
-}
-
-func ExampleMap() {
-	ctx := context.Background()
-	s := FromSlice(ctx, []int{1, 2, 3, 4})
-	out, _ := Map(s, func(x int) int { return x * 10 }, Workers(2), Ordered()).Collect()
-	fmt.Println(out)
-	// Output: [10 20 30 40]
 }

@@ -73,6 +73,31 @@ func TumblingCount[T any](s *Stream[Event[T]], n int) *Stream[Window[T]] {
 	return &Stream[Window[T]]{ch: out, ctx: s.ctx}
 }
 
+// AggregateWindows applies agg to each window, producing one keyed result
+// per window — the typical map-after-window pattern.
+func AggregateWindows[T, R any](s *Stream[Window[T]], agg func(Window[T]) R, opts ...Option) *Stream[R] {
+	return Map(s, agg, opts...)
+}
+
+// KeyBy partitions a plain stream into events keyed by keyFn with a
+// synthetic arrival index as event time.
+func KeyBy[T any](ctx context.Context, s *Stream[T], keyFn func(T) string) *Stream[Event[T]] {
+	out := make(chan Event[T], defaultBuffer)
+	go func() {
+		defer close(out)
+		i := 0
+		for v := range s.ch {
+			select {
+			case out <- Event[T]{Key: keyFn(v), Time: float64(i), Val: v}:
+				i++
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return &Stream[Event[T]]{ch: out, ctx: ctx}
+}
+
 // TumblingTime groups each key's events into fixed, aligned time windows of
 // the given width: window i covers [i*width, (i+1)*width). Events must
 // arrive in non-decreasing time order per key; a window is emitted when an
@@ -166,29 +191,4 @@ func SlidingCount[T any](s *Stream[Event[T]], n, slide int) *Stream[Window[T]] {
 		}
 	}()
 	return &Stream[Window[T]]{ch: out, ctx: s.ctx}
-}
-
-// AggregateWindows applies agg to each window, producing one keyed result
-// per window — the typical map-after-window pattern.
-func AggregateWindows[T, R any](s *Stream[Window[T]], agg func(Window[T]) R, opts ...Option) *Stream[R] {
-	return Map(s, agg, opts...)
-}
-
-// KeyBy partitions a plain stream into events keyed by keyFn with a
-// synthetic arrival index as event time.
-func KeyBy[T any](ctx context.Context, s *Stream[T], keyFn func(T) string) *Stream[Event[T]] {
-	out := make(chan Event[T], defaultBuffer)
-	go func() {
-		defer close(out)
-		i := 0
-		for v := range s.ch {
-			select {
-			case out <- Event[T]{Key: keyFn(v), Time: float64(i), Val: v}:
-				i++
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return &Stream[Event[T]]{ch: out, ctx: ctx}
 }

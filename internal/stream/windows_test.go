@@ -116,6 +116,88 @@ func TestTumblingCountConservation(t *testing.T) {
 	}
 }
 
+func TestAggregateWindows(t *testing.T) {
+	ctx := context.Background()
+	evs := events(map[string][]int{"a": {1, 2, 3, 4}})
+	wins := TumblingCount(FromSlice(ctx, evs), 2)
+	sums, err := AggregateWindows(wins, func(w Window[int]) int {
+		s := 0
+		for _, v := range w.Items {
+			s += v
+		}
+		return s
+	}, Workers(1)).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sums) != 2 || sums[0] != 3 || sums[1] != 7 {
+		t.Errorf("sums = %v", sums)
+	}
+}
+
+func TestKeyBy(t *testing.T) {
+	ctx := context.Background()
+	s := FromSlice(ctx, []int{1, 2, 3, 4, 5, 6})
+	keyed := KeyBy(ctx, s, func(x int) string {
+		if x%2 == 0 {
+			return "even"
+		}
+		return "odd"
+	})
+	evs, err := keyed.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 6 {
+		t.Fatalf("events = %d", len(evs))
+	}
+	for i, ev := range evs {
+		if ev.Time != float64(i) {
+			t.Errorf("event %d time = %v", i, ev.Time)
+		}
+	}
+	if evs[0].Key != "odd" || evs[1].Key != "even" {
+		t.Errorf("keys = %s, %s", evs[0].Key, evs[1].Key)
+	}
+}
+
+// End-to-end WindFlow-style pipeline: keyed sensor readings → tumbling
+// windows → per-window mean, with a parallel aggregation farm.
+func TestWindowedPipelineEndToEnd(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	readings := make([]float64, 1000)
+	for i := range readings {
+		readings[i] = rng.Float64() * 100
+	}
+	src := FromSlice(ctx, readings)
+	keyed := KeyBy(ctx, src, func(v float64) string {
+		if v < 50 {
+			return "low"
+		}
+		return "high"
+	})
+	wins := TumblingCount(keyed, 10)
+	means, err := AggregateWindows(wins, func(w Window[float64]) float64 {
+		s := 0.0
+		for _, v := range w.Items {
+			s += v
+		}
+		return s / float64(len(w.Items))
+	}, Workers(4)).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(means) == 0 {
+		t.Fatal("no windows")
+	}
+	for _, m := range means {
+		if m < 0 || m > 100 {
+			t.Errorf("mean out of range: %v", m)
+		}
+	}
+}
+
 func TestTumblingTime(t *testing.T) {
 	ctx := context.Background()
 	evs := []Event[int]{
@@ -170,84 +252,5 @@ func TestSlidingCount(t *testing.T) {
 	}
 	if len(wins2) != 2 {
 		t.Errorf("slide-2 windows = %+v", wins2)
-	}
-}
-
-func TestAggregateWindows(t *testing.T) {
-	ctx := context.Background()
-	evs := events(map[string][]int{"a": {1, 2, 3, 4}})
-	wins := TumblingCount(FromSlice(ctx, evs), 2)
-	sums, err := AggregateWindows(wins, func(w Window[int]) int {
-		s := 0
-		for _, v := range w.Items {
-			s += v
-		}
-		return s
-	}, Workers(1)).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sums) != 2 || sums[0] != 3 || sums[1] != 7 {
-		t.Errorf("sums = %v", sums)
-	}
-}
-
-func TestKeyBy(t *testing.T) {
-	ctx := context.Background()
-	s := FromSlice(ctx, []int{1, 2, 3, 4, 5, 6})
-	keyed := KeyBy(ctx, s, func(x int) string {
-		if x%2 == 0 {
-			return "even"
-		}
-		return "odd"
-	})
-	evs, err := keyed.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 6 {
-		t.Fatalf("events = %d", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Time != float64(i) {
-			t.Errorf("event %d time = %v", i, ev.Time)
-		}
-	}
-	if evs[0].Key != "odd" || evs[1].Key != "even" {
-		t.Errorf("keys = %s, %s", evs[0].Key, evs[1].Key)
-	}
-}
-
-// End-to-end WindFlow-style pipeline: keyed sensor readings → tumbling
-// windows → per-window mean, with a parallel aggregation farm.
-func TestWindowedPipelineEndToEnd(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(5))
-	n := 1000
-	src := Generate(ctx, n, func(i int) float64 { return rng.Float64() * 100 })
-	keyed := KeyBy(ctx, src, func(v float64) string {
-		if v < 50 {
-			return "low"
-		}
-		return "high"
-	})
-	wins := TumblingCount(keyed, 10)
-	means, err := AggregateWindows(wins, func(w Window[float64]) float64 {
-		s := 0.0
-		for _, v := range w.Items {
-			s += v
-		}
-		return s / float64(len(w.Items))
-	}, Workers(4)).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(means) == 0 {
-		t.Fatal("no windows")
-	}
-	for _, m := range means {
-		if m < 0 || m > 100 {
-			t.Errorf("mean out of range: %v", m)
-		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestCountersAndGauges(t *testing.T) {
-	r := New()
+	r := NewWithClock(clock.NewSim(1))
 	r.Inc("requests", 1)
 	r.Inc("requests", 2)
 	if got := r.Counter("requests"); got != 3 {
@@ -21,73 +21,24 @@ func TestCountersAndGauges(t *testing.T) {
 	}
 	r.SetGauge("queue_depth", 7)
 	r.SetGauge("queue_depth", 5)
-	if got := r.Gauge("queue_depth"); got != 5 {
-		t.Errorf("gauge = %v", got)
-	}
-}
-
-func TestSeriesSummary(t *testing.T) {
-	r := New()
-	for i := 1; i <= 100; i++ {
-		r.Observe("latency", float64(i))
-	}
-	s, err := r.Summary("latency")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 100 || s.Mean != 50.5 || s.Min != 1 || s.Max != 100 {
-		t.Errorf("summary = %+v", s)
-	}
-	if _, err := r.Summary("missing"); err == nil {
-		t.Error("missing series accepted")
+	if out := r.PromText(); !strings.Contains(out, "# TYPE queue_depth gauge\nqueue_depth 5\n") {
+		t.Errorf("gauge not 5:\n%s", out)
 	}
 }
 
 func TestSeriesCap(t *testing.T) {
-	r := New()
+	r := NewWithClock(clock.NewSim(1))
 	r.SeriesCap = 10
 	for i := 0; i < 100; i++ {
 		r.Observe("s", float64(i))
 	}
-	s, err := r.Summary("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 10 || s.Min != 90 {
-		t.Errorf("cap not applied: %+v", s)
-	}
-}
-
-func TestSnapshotIsolation(t *testing.T) {
-	r := New()
-	r.Inc("c", 1)
-	r.SetGauge("g", 2)
-	r.Observe("s", 3)
-	snap := r.Snapshot()
-	r.Inc("c", 10)
-	if snap.Counters["c"] != 1 {
-		t.Error("snapshot mutated by later writes")
-	}
-	if snap.Gauges["g"] != 2 || snap.Series["s"].N != 1 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-}
-
-func TestSnapshotRendering(t *testing.T) {
-	r := New()
-	r.Inc("faas.invocations", 42)
-	r.SetGauge("nodes.active", 3)
-	r.Observe("latency_s", 0.25)
-	out := r.Snapshot().String()
-	for _, want := range []string{"counter", "faas.invocations", "42", "gauge", "series", "latency_s"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendering missing %q:\n%s", want, out)
-		}
+	if vs := seriesValues(r, "s"); len(vs) != 10 || vs[0] != 90 {
+		t.Errorf("cap not applied: %v", vs)
 	}
 }
 
 func TestConcurrentSafety(t *testing.T) {
-	r := New()
+	r := NewWithClock(clock.NewSim(1))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -97,7 +48,7 @@ func TestConcurrentSafety(t *testing.T) {
 				r.Inc("n", 1)
 				r.Observe("v", float64(j))
 				r.SetGauge("g", float64(j))
-				_ = r.Snapshot()
+				_ = r.PromText()
 			}
 		}()
 	}
@@ -112,7 +63,7 @@ func TestConcurrentSafety(t *testing.T) {
 // one hidden window of slack) no matter how many samples stream through, and
 // readers only ever see the trailing SeriesCap samples.
 func TestSeriesCapacityBounded(t *testing.T) {
-	r := New()
+	r := NewWithClock(clock.NewSim(1))
 	r.SeriesCap = 64
 	for i := 0; i < 100_000; i++ {
 		r.Observe("s", float64(i))
@@ -127,15 +78,9 @@ func TestSeriesCapacityBounded(t *testing.T) {
 	if c > 4*r.SeriesCap {
 		t.Errorf("cap = %d, want <= %d (backing array retained)", c, 4*r.SeriesCap)
 	}
-	s, err := r.Summary("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 64 || s.Min != 100_000-64 || s.Max != 99_999 {
-		t.Errorf("visible window = %+v, want last 64 samples", s)
-	}
-	if got := len(r.Samples("s")); got != 64 {
-		t.Errorf("Samples len = %d, want 64 (internal slack leaked)", got)
+	vs := seriesValues(r, "s")
+	if len(vs) != 64 || vs[0] != 100_000-64 || vs[63] != 99_999 {
+		t.Errorf("visible window = %d values from %v, want the last 64 samples", len(vs), vs[0])
 	}
 }
 
@@ -144,7 +89,7 @@ func TestSeriesCapacityBounded(t *testing.T) {
 // SeriesCap appends. This is what makes per-request latency series viable
 // on the serve hot path.
 func TestObserveAmortizedTrim(t *testing.T) {
-	r := New()
+	r := NewWithClock(clock.NewSim(1))
 	r.SeriesCap = 4096
 	// Warm past the first overflow, then measure: if every append shifted
 	// the full window (the old behaviour), 200k observations would copy
@@ -153,7 +98,7 @@ func TestObserveAmortizedTrim(t *testing.T) {
 	for i := 0; i < 200_000; i++ {
 		r.Observe("s", float64(i))
 	}
-	vs := r.SeriesValues("s")
+	vs := seriesValues(r, "s")
 	if len(vs) != 4096 {
 		t.Fatalf("window = %d values, want 4096", len(vs))
 	}
@@ -167,7 +112,7 @@ func TestObserveAmortizedTrim(t *testing.T) {
 // Lowering SeriesCap after samples accumulated releases the oversized
 // backing array on the next trim.
 func TestSeriesCapShrinkReleasesArray(t *testing.T) {
-	r := New()
+	r := NewWithClock(clock.NewSim(1))
 	r.SeriesCap = 4096
 	for i := 0; i < 4096; i++ {
 		r.Observe("s", float64(i))
@@ -180,53 +125,9 @@ func TestSeriesCapShrinkReleasesArray(t *testing.T) {
 	if c > 32 {
 		t.Errorf("cap = %d after shrink, want <= 32", c)
 	}
-	s, err := r.Summary("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 16 || s.Max != 4095 || s.Min != -1 {
-		t.Errorf("window after shrink = %+v", s)
-	}
-}
-
-// Regression: a series that was declared but never observed must not
-// silently vanish from snapshots — it appears as a zero-count entry.
-func TestSnapshotKeepsEmptySeries(t *testing.T) {
-	r := New()
-	r.DeclareSeries("quiet.series")
-	snap := r.Snapshot()
-	sum, ok := snap.Series["quiet.series"]
-	if !ok {
-		t.Fatal("empty series dropped from snapshot")
-	}
-	if sum.N != 0 {
-		t.Errorf("empty series count = %d", sum.N)
-	}
-	if !strings.Contains(snap.String(), "quiet.series") {
-		t.Errorf("empty series missing from rendering:\n%s", snap.String())
-	}
-}
-
-func TestLastUpdateUsesInjectedClock(t *testing.T) {
-	sim := clock.NewSim(1)
-	r := NewWithClock(sim)
-	r.Inc("c", 1)
-	if got := r.LastUpdate("c"); !got.Equal(clock.Epoch) {
-		t.Errorf("last update = %v, want Epoch", got)
-	}
-	sim.Advance(5 * time.Second)
-	r.Observe("s", 1)
-	if got := r.LastUpdate("s"); !got.Equal(clock.Epoch.Add(5 * time.Second)) {
-		t.Errorf("last update = %v", got)
-	}
-	if got := r.Samples("s")[0].At; !got.Equal(clock.Epoch.Add(5 * time.Second)) {
-		t.Errorf("sample stamped %v", got)
-	}
-	if !r.Snapshot().LastUpdate["c"].Equal(clock.Epoch) {
-		t.Error("snapshot last-update wrong")
-	}
-	if r.LastUpdate("never") != (time.Time{}) {
-		t.Error("unknown metric has a last-update")
+	vs := seriesValues(r, "s")
+	if len(vs) != 16 || vs[0] != 4081 || vs[15] != -1 {
+		t.Errorf("window after shrink = %v", vs)
 	}
 }
 
@@ -253,22 +154,26 @@ func TestRegistryRaceHammer(t *testing.T) {
 					r.SetGauge("g", float64(j))
 					sim.Advance(time.Microsecond)
 				case 3:
-					_ = r.Snapshot().String()
+					_ = r.Counter("n")
 				case 4:
 					_ = r.PromText()
-					_, _ = r.Summary("lat")
 				case 5:
 					sp := r.StartSpan(sim, "hammer", "span")
 					sp.End(nil)
-					_ = r.TraceText()
-					_ = r.Samples("lat")
-					_ = r.LastUpdate("n")
+					_ = r.Spans()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if r.SpanCount() == 0 || r.Counter("n") == 0 {
+	if len(r.Spans()) == 0 || r.Counter("n") == 0 {
 		t.Error("hammer recorded nothing")
 	}
+}
+
+// seriesValues returns the visible window of a series, oldest first.
+func seriesValues(r *Registry, name string) []float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return values(r.window(r.series[name]))
 }

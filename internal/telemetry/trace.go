@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/clock"
@@ -25,13 +23,10 @@ type Span struct {
 	Err string
 }
 
-// Duration returns the span's length.
-func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
-
 // RecordSpan appends a finished span to the registry, dropping the oldest
 // when SpanCap is exceeded (same amortized bounded-window policy as series:
 // the slice may grow to twice SpanCap before one copy-down, so per-request
-// spans on the serve hot path cost O(1) amortized, and readers window the
+// spans on the serve hot path cost O(1) amortized, and Spans windows the
 // tail so the slack is never visible).
 func (r *Registry) RecordSpan(sp Span) {
 	r.mu.Lock()
@@ -48,15 +43,6 @@ func (r *Registry) RecordSpan(sp Span) {
 		}
 	}
 	r.spans = s
-}
-
-// spanWindow returns the visible tail of the span record: the most recent
-// SpanCap spans. Callers hold r.mu.
-func (r *Registry) spanWindow() []Span {
-	if r.SpanCap > 0 && len(r.spans) > r.SpanCap {
-		return r.spans[len(r.spans)-r.SpanCap:]
-	}
-	return r.spans
 }
 
 // ActiveSpan is an in-flight span returned by StartSpan.
@@ -82,12 +68,17 @@ func (a *ActiveSpan) End(err error) {
 	a.r.RecordSpan(a.sp)
 }
 
-// Spans returns the retained trace records sorted by (Start, Kind, Name,
-// End) — a canonical order independent of the (possibly concurrent)
-// recording order, so renderings of the same span multiset are identical.
+// Spans returns the retained trace records — the most recent SpanCap —
+// sorted by (Start, Kind, Name, End): a canonical order independent of the
+// (possibly concurrent) recording order, so renderings of the same span
+// multiset are identical.
 func (r *Registry) Spans() []Span {
 	r.mu.Lock()
-	out := append([]Span(nil), r.spanWindow()...)
+	window := r.spans
+	if r.SpanCap > 0 && len(window) > r.SpanCap {
+		window = window[len(window)-r.SpanCap:]
+	}
+	out := append([]Span(nil), window...)
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -106,27 +97,4 @@ func (r *Registry) Spans() []Span {
 		return a.Err < b.Err
 	})
 	return out
-}
-
-// SpanCount returns the number of retained (visible) spans.
-func (r *Registry) SpanCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spanWindow())
-}
-
-// TraceText renders the spans one per line in canonical order, with start
-// and end expressed in seconds since clock.Epoch — the simulation time
-// unit, so simulated traces read like event logs.
-func (r *Registry) TraceText() string {
-	var b strings.Builder
-	for _, sp := range r.Spans() {
-		fmt.Fprintf(&b, "span %-20s %-24s start=%.6f end=%.6f dur=%.6f",
-			sp.Kind, sp.Name, clock.Seconds(sp.Start), clock.Seconds(sp.End), sp.Duration().Seconds())
-		if sp.Err != "" {
-			fmt.Fprintf(&b, " err=%q", sp.Err)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

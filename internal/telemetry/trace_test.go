@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -24,14 +23,11 @@ func TestStartSpanEnd(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d", len(spans))
 	}
-	if spans[0].Name != "ingest" || spans[0].Duration() != 1500*time.Millisecond || spans[0].Err != "" {
+	if spans[0].Name != "ingest" || spans[0].End.Sub(spans[0].Start) != 1500*time.Millisecond || spans[0].Err != "" {
 		t.Errorf("first span = %+v", spans[0])
 	}
 	if spans[1].Name != "train" || spans[1].Err != "boom" {
 		t.Errorf("second span = %+v", spans[1])
-	}
-	if r.SpanCount() != 2 || r.Snapshot().SpanCount != 2 {
-		t.Error("span count not reported")
 	}
 }
 
@@ -51,14 +47,6 @@ func TestSpansCanonicalOrder(t *testing.T) {
 	if spans[0].Name != "also-at-1" || spans[1].Name != "earlier" || spans[2].Name != "later" {
 		t.Errorf("order = %s, %s, %s", spans[0].Name, spans[1].Name, spans[2].Name)
 	}
-	text := r.TraceText()
-	lines := strings.Split(strings.TrimSpace(text), "\n")
-	if len(lines) != 3 || !strings.Contains(lines[0], "also-at-1") {
-		t.Errorf("trace text:\n%s", text)
-	}
-	if !strings.Contains(lines[2], "start=2.000000 end=3.000000 dur=1.000000") {
-		t.Errorf("trace times wrong:\n%s", text)
-	}
 }
 
 func TestSpanCapBounded(t *testing.T) {
@@ -67,7 +55,7 @@ func TestSpanCapBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.RecordSpan(Span{Kind: "k", Name: "n", Start: clock.FromSeconds(float64(i)), End: clock.FromSeconds(float64(i) + 1)})
 	}
-	if got := r.SpanCount(); got != 8 {
+	if got := len(r.Spans()); got != 8 {
 		t.Errorf("spans retained = %d, want 8", got)
 	}
 	r.mu.Lock()

@@ -33,18 +33,6 @@ func BenchmarkTopoOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkCriticalPath measures longest-path analysis.
-func BenchmarkCriticalPath(b *testing.B) {
-	w := benchDAG(1000)
-	dur := func(s *Step) float64 { return s.WorkGFlop }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := w.CriticalPath(dur); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRunnerConcurrent measures the goroutine executor on a wide DAG.
 func BenchmarkRunnerConcurrent(b *testing.B) {
 	w := New("wide")

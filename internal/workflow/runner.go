@@ -4,10 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-
-	"repro/internal/clock"
-	"repro/internal/telemetry"
 )
 
 // StepFunc is the user-supplied body of a workflow step. It receives the
@@ -33,15 +29,6 @@ type Runner struct {
 	// succeeded even after some other step failed; failed steps still poison
 	// their dependents.
 	ContinueOnError bool
-	// Clock is the time source for provenance attempt timing and retry
-	// backoff (nil = clock.System). Inject a clock.Sim to make provenance
-	// output byte-identical across runs.
-	Clock clock.Clock
-	// Metrics, when non-nil, receives span-style trace records per step
-	// ("workflow.step"), the "workflow.attempt_s" duration series and the
-	// "workflow.attempts" / "workflow.retries" / "workflow.step_failures"
-	// counters from RunWithProvenance.
-	Metrics *telemetry.Registry
 }
 
 // ErrSkipped marks a step not executed because a dependency failed.
@@ -173,81 +160,3 @@ func (r *Runner) Run(ctx context.Context, wf *Workflow, bodies map[string]StepFu
 	}
 	return results, firstErr
 }
-
-// RunSequential executes the workflow one step at a time in topological
-// order — the baseline the concurrent runner is benchmarked against.
-func RunSequential(ctx context.Context, wf *Workflow, bodies map[string]StepFunc) (map[string]Result, error) {
-	if err := wf.Validate(); err != nil {
-		return nil, err
-	}
-	topo, err := wf.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	results := map[string]Result{}
-	for _, id := range topo {
-		if bodies[id] == nil {
-			return nil, fmt.Errorf("workflow: no body for step %q", id)
-		}
-		s, _ := wf.Step(id)
-		skip := false
-		deps := map[string]any{}
-		for _, dep := range s.After {
-			if results[dep].Err != nil {
-				skip = true
-				break
-			}
-			deps[dep] = results[dep].Value
-		}
-		if skip {
-			results[id] = Result{StepID: id, Err: ErrSkipped}
-			continue
-		}
-		v, err := bodies[id](ctx, deps)
-		results[id] = Result{StepID: id, Value: v, Err: err}
-		if err != nil {
-			// Sequential baseline mirrors ContinueOnError=true semantics:
-			// only dependents are poisoned.
-			continue
-		}
-	}
-	for _, id := range topo {
-		if r := results[id]; r.Err != nil && !errors.Is(r.Err, ErrSkipped) {
-			return results, fmt.Errorf("workflow: step %q: %w", id, r.Err)
-		}
-	}
-	return results, nil
-}
-
-// Barrier is a tiny helper synchronizing fan-in joins in hand-written step
-// bodies: it collects n signals then closes Done.
-type Barrier struct {
-	mu   sync.Mutex
-	n    int
-	done chan struct{}
-}
-
-// NewBarrier returns a barrier expecting n arrivals.
-func NewBarrier(n int) *Barrier {
-	b := &Barrier{n: n, done: make(chan struct{})}
-	if n <= 0 {
-		close(b.done)
-	}
-	return b
-}
-
-// Arrive signals one arrival.
-func (b *Barrier) Arrive() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.n <= 0 {
-		return
-	}
-	b.n--
-	if b.n == 0 {
-		close(b.done)
-	}
-}
-
-// Done is closed when all arrivals have happened.
-func (b *Barrier) Done() <-chan struct{} { return b.done }

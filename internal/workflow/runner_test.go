@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,7 +192,8 @@ func TestRunSequentialMatchesConcurrent(t *testing.T) {
 			},
 		}
 	}
-	seq, err := RunSequential(context.Background(), w, mk())
+	sequential := Runner{MaxConcurrent: 1}
+	seq, err := sequential.Run(context.Background(), w, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,8 @@ func TestRunSequentialSkipsAfterFailure(t *testing.T) {
 		"a": func(ctx context.Context, _ map[string]any) (any, error) { return nil, errors.New("boom") },
 		"b": constBody(1), "c": constBody(1), "d": constBody(1),
 	}
-	res, err := RunSequential(context.Background(), w, bodies)
+	sequential := Runner{MaxConcurrent: 1, ContinueOnError: true}
+	res, err := sequential.Run(context.Background(), w, bodies)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -256,27 +257,5 @@ func TestRunnerWideFanDeterministicValues(t *testing.T) {
 		if res["sum"].Value != 49*50/2 {
 			t.Errorf("sum = %v", res["sum"].Value)
 		}
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	b := NewBarrier(3)
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); b.Arrive() }()
-	}
-	select {
-	case <-b.Done():
-	case <-time.After(time.Second):
-		t.Fatal("barrier never released")
-	}
-	wg.Wait()
-	b.Arrive() // extra arrivals are harmless
-	// Zero barrier is immediately done.
-	select {
-	case <-NewBarrier(0).Done():
-	default:
-		t.Error("zero barrier should be done")
 	}
 }

@@ -225,6 +225,15 @@ func (w *Workflow) MaxParallelism() (int, error) {
 	return m, nil
 }
 
+// TotalWork returns the sum of WorkGFlop over all steps.
+func (w *Workflow) TotalWork() float64 {
+	var t float64
+	for _, id := range w.order {
+		t += w.steps[id].WorkGFlop
+	}
+	return t
+}
+
 // CriticalPath returns the chain of steps with the largest total duration
 // under the given per-step duration estimate, along with its length. It is
 // the lower bound on makespan with unlimited resources.
@@ -265,13 +274,4 @@ func (w *Workflow) CriticalPath(duration func(*Step) float64) ([]string, float64
 		path[i], path[j] = path[j], path[i]
 	}
 	return path, best, nil
-}
-
-// TotalWork returns the sum of WorkGFlop over all steps.
-func (w *Workflow) TotalWork() float64 {
-	var t float64
-	for _, id := range w.order {
-		t += w.steps[id].WorkGFlop
-	}
-	return t
 }

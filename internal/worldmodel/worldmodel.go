@@ -23,19 +23,6 @@ type Table struct {
 	Ys []float64
 }
 
-// Validate checks the table is non-empty, aligned and x-sorted.
-func (t Table) Validate() error {
-	if len(t.Xs) == 0 || len(t.Xs) != len(t.Ys) {
-		return fmt.Errorf("worldmodel: table with %d xs, %d ys", len(t.Xs), len(t.Ys))
-	}
-	for i := 1; i < len(t.Xs); i++ {
-		if t.Xs[i] <= t.Xs[i-1] {
-			return fmt.Errorf("worldmodel: table xs not strictly increasing at %d", i)
-		}
-	}
-	return nil
-}
-
 // At interpolates the table at x (clamped at the ends).
 func (t Table) At(x float64) float64 {
 	n := len(t.Xs)
