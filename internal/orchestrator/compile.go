@@ -339,7 +339,6 @@ func (p *compiledSim) buildSchedule(sc *simScratch, policyName string) *Schedule
 		Policy:     policyName,
 		Placement:  p.placement,
 		Steps:      make(map[string]StepTrace, len(p.steps)),
-		stepCores:  make(map[string]int, len(p.steps)),
 		BytesMoved: p.bytesMoved,
 		NodesUsed:  p.nodesUsed,
 	}
@@ -354,7 +353,6 @@ func (p *compiledSim) buildSchedule(sc *simScratch, policyName string) *Schedule
 			TransferS: st.xfer,
 			WaitS:     sc.start[i] - sc.ready[i],
 		}
-		sched.stepCores[st.id] = int(st.cores)
 		if sc.finish[i] > sched.Makespan {
 			sched.Makespan = sc.finish[i]
 		}

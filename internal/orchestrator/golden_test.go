@@ -47,9 +47,24 @@ func goldenWorkflows() map[string]func() *workflow.Workflow {
 	}
 }
 
+// grantedCores maps each step to the cores the simulator grants it, as
+// compile folds them: the request capped at the node's size.
+func grantedCores(t *testing.T, wf *workflow.Workflow, inf *continuum.Infrastructure, p Placement) map[string]int {
+	t.Helper()
+	prog, err := compile(wf, inf, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := make(map[string]int, len(prog.steps))
+	for _, st := range prog.steps {
+		cores[st.id] = int(st.cores)
+	}
+	return cores
+}
+
 // renderSchedule writes every externally observable field of a Schedule in
-// deterministic order with exact floats.
-func renderSchedule(b *strings.Builder, s *Schedule) {
+// deterministic order with exact floats, plus each step's granted cores.
+func renderSchedule(b *strings.Builder, s *Schedule, cores map[string]int) {
 	fmt.Fprintf(b, "policy=%s makespan=%s dyn=%s idle=%s cost=%s moved=%s nodes=%d\n",
 		s.Policy, hexF(s.Makespan), hexF(s.DynamicEnergyJ), hexF(s.IdleEnergyJ),
 		hexF(s.CostEUR), hexF(s.BytesMoved), s.NodesUsed)
@@ -61,7 +76,7 @@ func renderSchedule(b *strings.Builder, s *Schedule) {
 	for _, id := range ids {
 		tr := s.Steps[id]
 		fmt.Fprintf(b, "  step=%s node=%s place=%s cores=%d ready=%s start=%s finish=%s xfer=%s wait=%s\n",
-			id, tr.NodeID, s.Placement[id], s.stepCores[id],
+			id, tr.NodeID, s.Placement[id], cores[id],
 			hexF(tr.Ready), hexF(tr.Start), hexF(tr.Finish), hexF(tr.TransferS), hexF(tr.WaitS))
 	}
 }
@@ -104,7 +119,7 @@ func simulateGolden(t *testing.T) string {
 					continue
 				}
 				fmt.Fprintf(&b, "%s/%s/", inf.name, wfName)
-				renderSchedule(&b, s)
+				renderSchedule(&b, s, grantedCores(t, wf, in, p))
 			}
 		}
 	}
@@ -123,7 +138,7 @@ func simulateGolden(t *testing.T) string {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "faults/seed-%d: failures=%d ", seed, fs.Failures)
-		renderSchedule(&b, fs.Schedule)
+		renderSchedule(&b, fs.Schedule, grantedCores(t, wf, in, p))
 	}
 
 	// Resume single runs: high failure probability forces the fatal path.

@@ -38,8 +38,6 @@ type Schedule struct {
 	BytesMoved float64
 	// NodesUsed is the number of distinct nodes hosting steps.
 	NodesUsed int
-
-	stepCores map[string]int // cores actually granted per step
 }
 
 // TotalEnergyJ returns dynamic plus idle energy.

@@ -1,15 +1,13 @@
 // Package telemetry implements the performance-monitoring layer the
 // paper's discussion (Section 4, Q1) flags as missing from the surveyed
 // workflow ecosystem: a small, concurrency-safe metrics registry with
-// counters, gauges, timestamped sample series, span-style trace records
-// (trace.go) and a Prometheus-text-format exposition (prom.go) — enough for
-// WMS components (schedulers, runtimes, simulators) to expose their
-// behaviour uniformly.
+// counters, gauges, sample series, span-style trace records (trace.go) and
+// a Prometheus-text-format exposition (prom.go) — enough for WMS components
+// (schedulers, runtimes, simulators) to expose their behaviour uniformly.
 //
-// All timestamps are read through an injected clock.Clock (clock.System by
-// default), so a registry wired to a clock.Sim produces byte-identical
-// output across runs — the reproducibility contract
-// of DESIGN.md §4.
+// Spans are the only timestamped records, and they read the clock.Clock
+// passed to StartSpan, so spans timed by a clock.Sim are byte-identical
+// across runs — the reproducibility contract of DESIGN.md §4.
 //
 // Well-known instrument names: the experiment registry (internal/exp)
 // counts its whole-result memo as exp.hits / exp.misses / exp.bytes with
@@ -21,26 +19,17 @@ package telemetry
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/clock"
 )
-
-// Sample is one timestamped observation in a series.
-type Sample struct {
-	V  float64
-	At time.Time
-}
 
 // Registry holds named metrics. The zero value is not usable; call
 // NewWithClock.
 type Registry struct {
 	mu       sync.Mutex
-	clk      clock.Clock
 	counters map[string]int64
 	gauges   map[string]float64
-	series   map[string][]Sample
-	last     map[string]time.Time
+	series   map[string][]float64
 	spans    []Span
 	// SeriesCap bounds the samples kept per series (oldest dropped).
 	SeriesCap int
@@ -48,16 +37,16 @@ type Registry struct {
 	SpanCap int
 }
 
-// NewWithClock returns an empty registry stamping updates with c, keeping
-// up to 4096 samples per series and 4096 spans. Pass a *clock.Sim to make
-// every timestamp — and hence every rendering — deterministic.
-func NewWithClock(c clock.Clock) *Registry {
+// NewWithClock returns an empty registry keeping up to 4096 samples per
+// series and 4096 spans. The registry stamps no update itself: span times
+// come from the clock given to StartSpan, so the clock argument is unused
+// and stays only so that callers building a registry beside their clock
+// keep compiling.
+func NewWithClock(clock.Clock) *Registry {
 	return &Registry{
-		clk:       clock.Or(c),
 		counters:  map[string]int64{},
 		gauges:    map[string]float64{},
-		series:    map[string][]Sample{},
-		last:      map[string]time.Time{},
+		series:    map[string][]float64{},
 		SeriesCap: 4096,
 		SpanCap:   4096,
 	}
@@ -68,7 +57,6 @@ func (r *Registry) Inc(name string, delta int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters[name] += delta
-	r.last[name] = r.clk.Now()
 }
 
 // Counter reads a counter.
@@ -83,11 +71,10 @@ func (r *Registry) SetGauge(name string, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gauges[name] = v
-	r.last[name] = r.clk.Now()
 }
 
-// DeclareSeries registers an (empty) series so it appears in snapshots and
-// the Prometheus exposition even before the first observation — a metric
+// DeclareSeries registers an (empty) series so it appears in the Prometheus
+// exposition even before the first observation — a metric
 // that silently vanishes when idle is indistinguishable from one that was
 // never wired up.
 func (r *Registry) DeclareSeries(name string) {
@@ -98,8 +85,7 @@ func (r *Registry) DeclareSeries(name string) {
 	}
 }
 
-// Observe appends a sample to a series (e.g. a latency), stamped with the
-// registry clock. Appending is amortized O(1): the backing slice may grow to
+// Observe appends a sample to a series (e.g. a latency). Appending is amortized O(1): the backing slice may grow to
 // twice SeriesCap before the window is copied down in one step, so a
 // million-observation stream (the serve load generator) costs one slot write
 // per sample instead of an O(SeriesCap) shift on every overflowing append.
@@ -108,15 +94,14 @@ func (r *Registry) DeclareSeries(name string) {
 func (r *Registry) Observe(name string, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.clk.Now()
-	s := append(r.series[name], Sample{V: v, At: now})
+	s := append(r.series[name], v)
 	if r.SeriesCap > 0 && len(s) >= 2*r.SeriesCap {
 		if cap(s) > 4*r.SeriesCap {
 			// Oversized backing array (e.g. SeriesCap was lowered after
 			// samples accumulated): copy into a fresh slice so the old
 			// array can be collected instead of being pinned by a
 			// re-slice forever.
-			fresh := make([]Sample, r.SeriesCap)
+			fresh := make([]float64, r.SeriesCap)
 			copy(fresh, s[len(s)-r.SeriesCap:])
 			s = fresh
 		} else {
@@ -127,28 +112,23 @@ func (r *Registry) Observe(name string, v float64) {
 		}
 	}
 	r.series[name] = s
-	r.last[name] = now
 }
 
 // window returns the visible tail of a bounded series: the most recent
 // SeriesCap samples. The amortized trim in Observe can leave up to one extra
 // window of dropped samples in the backing array; every reader routes
 // through here so that slack is never observable. Callers hold r.mu.
-func (r *Registry) window(s []Sample) []Sample {
+func (r *Registry) window(s []float64) []float64 {
 	if r.SeriesCap > 0 && len(s) > r.SeriesCap {
 		return s[len(s)-r.SeriesCap:]
 	}
 	return s
 }
 
-// values extracts the sample values of a series into a fresh slice. Callers
+// values copies the sample values of a series into a fresh slice. Callers
 // hold r.mu. The copy is load-bearing: PromText sorts what it receives, and
 // handing it the live backing array would silently reorder the registry's
 // observation history (the aliasing bug pinned by TestPromTextDoesNotMutate).
-func values(s []Sample) []float64 {
-	out := make([]float64, len(s))
-	for i, smp := range s {
-		out[i] = smp.V
-	}
-	return out
+func values(s []float64) []float64 {
+	return append([]float64(nil), s...)
 }
