@@ -1,11 +1,13 @@
 // Command benchdiff is the bench-regression gate behind `make bench-gate`.
 // It reads `go test -bench` output on stdin and compares it against a
 // committed benchmark record, or with -write merges it into that record.
+// With -pairs it compares two commits end to end instead.
 //
 // Usage:
 //
 //	go test -run '^$' -bench RE -benchmem ... | benchdiff [-threshold 0.10] [-alloc-threshold 0.10] BENCH_x.json
 //	go test -run '^$' -bench RE -benchmem ... | benchdiff -write BENCH_x.json
+//	benchdiff -pairs BENCHMARK.json parent.jsonl change.jsonl
 //
 // A record is a JSON array with one object per benchmark line: its "name"
 // plus one key per unit on the line, with "x/y" spelled "x_per_y"
@@ -29,6 +31,15 @@
 // -write replaces the rows of every benchmark named on stdin and keeps
 // every other row of the record byte for byte, so a leg can be re-measured
 // one benchmark at a time. A missing record is created.
+//
+// -pairs reads the end-to-end metrics of BENCHMARK.json and two files that
+// hold the last line of one `bash bench/run.sh` run per line, the parent's
+// and the change's, line i of each being pair i. It prints, per metric,
+// each side's median and quartiles (as Python's statistics.quantiles(n=4)
+// computes them), the change/parent median ratio, the pairs the change
+// won and the verdict of bench/README.md's rule, as a markdown table. It
+// fails on a run that is not correct, on unequal run counts, on a metric
+// without a value, and on a regression past the metric's bound.
 package main
 
 import (
@@ -75,8 +86,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	allocThreshold := fs.Float64("alloc-threshold", -1,
 		"max tolerated fractional allocs/op regression; negative = same as -threshold")
 	write := fs.Bool("write", false, "merge the benchmarks on stdin into the record instead of gating them")
+	pairMode := fs.Bool("pairs", false, "compare parent and change bench/run.sh results: args BENCHMARK.json parent change")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *pairMode {
+		if fs.NArg() != 3 {
+			return fmt.Errorf("-pairs wants 3 arguments (BENCHMARK.json, parent results, change results), got %d", fs.NArg())
+		}
+		return pairs(stdout, fs.Arg(0), fs.Arg(1), fs.Arg(2))
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("want exactly one argument (the BENCH_*.json record), got %d", fs.NArg())

@@ -49,10 +49,6 @@ type Node struct {
 	IdleW float64
 	MaxW  float64
 
-	// CarbonIntensity is the grams of CO2 emitted per kWh consumed at this
-	// location (grid-dependent; Edge sites on renewables can be lower).
-	CarbonIntensity float64
-
 	// CostPerCoreHour is the renting price used by cost-aware placement.
 	CostPerCoreHour float64
 

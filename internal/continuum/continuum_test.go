@@ -10,7 +10,7 @@ func validNode(id string) *Node {
 	return &Node{
 		ID: id, Kind: Cloud, Region: "r",
 		Cores: 8, GFLOPSPerCore: 10, MemoryGB: 32,
-		IdleW: 100, MaxW: 300, CarbonIntensity: 400, CostPerCoreHour: 0.05,
+		IdleW: 100, MaxW: 300, CostPerCoreHour: 0.05,
 	}
 }
 

@@ -24,21 +24,21 @@ func Testbed() *Infrastructure {
 		add(&Node{
 			ID: nodeID("hpc", i), Kind: HPC, Region: "hpc-centre",
 			Cores: 64, GFLOPSPerCore: 50, MemoryGB: 512,
-			IdleW: 400, MaxW: 1200, CarbonIntensity: 350, CostPerCoreHour: 0.02,
+			IdleW: 400, MaxW: 1200, CostPerCoreHour: 0.02,
 		})
 	}
 	for i := 0; i < 3; i++ {
 		add(&Node{
 			ID: nodeID("cloud", i), Kind: Cloud, Region: "cloud-region",
 			Cores: 32, GFLOPSPerCore: 30, MemoryGB: 128,
-			IdleW: 150, MaxW: 450, CarbonIntensity: 420, CostPerCoreHour: 0.08,
+			IdleW: 150, MaxW: 450, CostPerCoreHour: 0.08,
 		})
 	}
 	for i := 0; i < 5; i++ {
 		add(&Node{
 			ID: nodeID("edge", i), Kind: Edge, Region: "edge-site",
 			Cores: 4, GFLOPSPerCore: 8, MemoryGB: 8,
-			IdleW: 5, MaxW: 25, CarbonIntensity: 250, CostPerCoreHour: 0.01,
+			IdleW: 5, MaxW: 25, CostPerCoreHour: 0.01,
 		})
 	}
 	t := inf.Topology
@@ -66,14 +66,14 @@ func EdgeCloudTestbed() *Infrastructure {
 		add(&Node{
 			ID: nodeID("edge", i), Kind: Edge, Region: "edge-site",
 			Cores: 8, GFLOPSPerCore: 10, MemoryGB: 16,
-			IdleW: 8, MaxW: 40, CarbonIntensity: 250, CostPerCoreHour: 0.01,
+			IdleW: 8, MaxW: 40, CostPerCoreHour: 0.01,
 		})
 	}
 	for i := 0; i < 2; i++ {
 		add(&Node{
 			ID: nodeID("cloud", i), Kind: Cloud, Region: "cloud-region",
 			Cores: 64, GFLOPSPerCore: 30, MemoryGB: 256,
-			IdleW: 200, MaxW: 600, CarbonIntensity: 420, CostPerCoreHour: 0.08,
+			IdleW: 200, MaxW: 600, CostPerCoreHour: 0.08,
 		})
 	}
 	t := inf.Topology

@@ -25,6 +25,11 @@ package core
 // falls back to normalizing first and walking the same table — correctness
 // is pinned by the equivalence tests and FuzzClassify, which drive both
 // paths against the strings.Contains reference.
+//
+// Generated corpora skip the bytes altogether: a WordTable precomputes,
+// once per vocabulary, what the walk does over each word and the single
+// space after it, so a description that is a sequence of vocabulary words
+// classifies at one table entry per word without ever being rendered.
 
 import (
 	"crypto/sha256"
@@ -115,6 +120,8 @@ type ClassifyScratch struct {
 	epoch uint32
 	// fired lists the distinct pattern IDs hit by the current document.
 	fired []int32
+	// at is a WordTable walk's current row: the index of its first step.
+	at int32
 }
 
 // begin resets the scratch for a new document against c.
@@ -299,7 +306,7 @@ func Compiled() *Classifier {
 // s. It reports false, part way, when it meets a byte whose column is
 // colNonASCII. The offset is a uint32 so that indexing needs no sign
 // extension between the add and the load.
-func scan[T string | []byte](c *Classifier, text T, class *[256]uint8, s *ClassifyScratch) bool {
+func scan(c *Classifier, text string, class *[256]uint8, s *ClassifyScratch) bool {
 	delta := c.delta
 	off := uint32(c.start)
 	for i := 0; i < len(text); i++ {
@@ -309,18 +316,23 @@ func scan[T string | []byte](c *Classifier, text T, class *[256]uint8, s *Classi
 				return false
 			}
 			e = ^e
-			c.hit(e, s)
+			c.fire(c.recognized(e), s)
 		}
 		off = uint32(e)
 	}
 	return true
 }
 
-// hit records the patterns recognized on entering the word row at offset
-// off, in output order, each once per document.
-func (c *Classifier) hit(off int32, s *ClassifyScratch) {
+// recognized lists the patterns recognized on entering the word row at
+// offset off, in output order.
+func (c *Classifier) recognized(off int32) []int32 {
 	q := off >> c.shift
-	for _, pid := range c.outPat[c.outStart[q]:c.outStart[q+1]] {
+	return c.outPat[c.outStart[q]:c.outStart[q+1]]
+}
+
+// fire scores the patterns pids in order, each once per document.
+func (c *Classifier) fire(pids []int32, s *ClassifyScratch) {
+	for _, pid := range pids {
 		if s.seen[pid] != s.epoch {
 			s.seen[pid] = s.epoch
 			s.fired = append(s.fired, pid)
@@ -329,17 +341,9 @@ func (c *Classifier) hit(off int32, s *ClassifyScratch) {
 	}
 }
 
-// classify is ClassifyInto and ClassifyBytes: one pass over the raw bytes,
-// or, on non-ASCII input, a second over the materialized normalized form.
-// Both are marked go:noinline: inlined into another package, their call to
-// this generic function loses its escape information, and the caller's
-// scratch and buffer would move to the heap.
-func classify[T string | []byte](c *Classifier, desc T, s *ClassifyScratch) int {
-	s.begin(c)
-	if !scan(c, desc, &c.rawClass, s) {
-		s.begin(c)
-		scan(c, normalize(string(desc)), &c.normClass, s)
-	}
+// finish ends a document: it returns the winning direction and counts the
+// winner's distinct keywords in s.
+func (c *Classifier) finish(s *ClassifyScratch) int {
 	w := winner(&s.Scores)
 	s.nMatched = 0
 	for _, pid := range s.fired {
@@ -368,20 +372,16 @@ func winner(scores *[numDirections]float64) int {
 // ClassifyInto classifies one description with zero steady-state
 // allocations, returning the canonical index of the winning direction.
 // Scores and the matched set of the winning direction are left in s
-// (read them via s.Scores and MatchedAppend) until the next call.
-//
-//go:noinline
+// (read them via s.Scores and MatchedAppend) until the next call. It makes
+// one pass over the raw bytes or, on non-ASCII input, a second over the
+// materialized normalized form.
 func (c *Classifier) ClassifyInto(desc string, s *ClassifyScratch) int {
-	return classify(c, desc, s)
-}
-
-// ClassifyBytes is ClassifyInto over a byte slice — the corpus pipeline
-// classifies descriptions straight out of reused generation buffers without
-// converting them to strings. The scan never retains the slice.
-//
-//go:noinline
-func (c *Classifier) ClassifyBytes(desc []byte, s *ClassifyScratch) int {
-	return classify(c, desc, s)
+	s.begin(c)
+	if !scan(c, desc, &c.rawClass, s) {
+		s.begin(c)
+		scan(c, normalize(desc), &c.normClass, s)
+	}
+	return c.finish(s)
 }
 
 // Matched reports how many distinct keywords of the winning direction the
@@ -389,7 +389,7 @@ func (c *Classifier) ClassifyBytes(desc []byte, s *ClassifyScratch) int {
 func (s *ClassifyScratch) Matched() int { return s.nMatched }
 
 // MatchedAppend appends the distinct matched keywords of the winning
-// direction w (as returned by the last ClassifyInto/ClassifyBytes) to dst
+// direction w (as returned by the last ClassifyInto or WordTable.End) to dst
 // in sorted order and returns the extended slice. With a capacious dst it
 // does not allocate.
 func (c *Classifier) MatchedAppend(dst []string, w int, s *ClassifyScratch) []string {

@@ -9,6 +9,11 @@ import (
 	"repro/internal/rng"
 )
 
+// fragments are noise words and keyword fragments: prefixes, overlaps and
+// repeats that a matcher could mistake for a keyword.
+var fragments = []string{"the", "a", "of", "runtime", "system", "data", "works",
+	"orch", "estrat", "kern", "notebo", "ener", "gygy", "portabportab"}
+
 // fuzzDescription builds a hostile random description: keywords from every
 // direction, keyword fragments, noise, random casing, messy whitespace and
 // occasional unicode — the inputs most likely to split the automaton from
@@ -18,8 +23,6 @@ func fuzzDescription(r *rng.Rand) string {
 	for _, d := range catalog.Directions() {
 		vocab = append(vocab, KeywordsFor(d)...)
 	}
-	noise := []string{"the", "a", "of", "runtime", "system", "data", "works",
-		"orch", "estrat", "kern", "notebo", "ener", "gygy", "portabportab"}
 	seps := []string{" ", "  ", "\t", "\n", " \t ", "\u00a0", " – "}
 	var b strings.Builder
 	n := 1 + r.Intn(24)
@@ -29,7 +32,7 @@ func fuzzDescription(r *rng.Rand) string {
 		case 0, 1:
 			w = vocab[r.Intn(len(vocab))]
 		case 2:
-			w = noise[r.Intn(len(noise))]
+			w = fragments[r.Intn(len(fragments))]
 		default: // random-cased keyword
 			kw := vocab[r.Intn(len(vocab))]
 			var c strings.Builder
@@ -68,13 +71,11 @@ func TestAutomatonMatchesReference(t *testing.T) {
 	}
 }
 
-// The kernel path must agree with the convenience API, for strings and for
-// byte slices out of reused buffers.
+// The kernel path must agree with the convenience API.
 func TestClassifyIntoMatchesClassifyDescription(t *testing.T) {
 	c := Compiled()
 	var s ClassifyScratch
 	r := rng.New(7)
-	var buf []byte
 	for i := 0; i < 2000; i++ {
 		desc := fuzzDescription(r)
 		want := ClassifyDescription(desc)
@@ -94,11 +95,6 @@ func TestClassifyIntoMatchesClassifyDescription(t *testing.T) {
 		}
 		if !reflect.DeepEqual(matched, want.Matched) {
 			t.Fatalf("ClassifyInto(%q) matched %v, want %v", desc, matched, want.Matched)
-		}
-
-		buf = append(buf[:0], desc...)
-		if wb := c.ClassifyBytes(buf, &s); wb != w {
-			t.Fatalf("ClassifyBytes(%q) = %d, want %d", desc, wb, w)
 		}
 	}
 }
@@ -143,7 +139,7 @@ func TestBuildRejectsUnnormalizedKeyword(t *testing.T) {
 	}
 }
 
-// kernelClassification reads the last ClassifyInto/ClassifyBytes result w
+// kernelClassification reads the last ClassifyInto or WordTable.End result w
 // out of s in the shape of ClassifyDescription's answer.
 func kernelClassification(c *Classifier, w int, s *ClassifyScratch) Classification {
 	scores := map[catalog.Direction]float64{}
@@ -173,9 +169,6 @@ func FuzzClassify(f *testing.F) {
 		var s ClassifyScratch
 		if got := kernelClassification(c, c.ClassifyInto(desc, &s), &s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("ClassifyInto(%q):\n got %+v\nwant %+v", desc, got, want)
-		}
-		if got := kernelClassification(c, c.ClassifyBytes([]byte(desc), &s), &s); !reflect.DeepEqual(got, want) {
-			t.Fatalf("ClassifyBytes(%q):\n got %+v\nwant %+v", desc, got, want)
 		}
 	})
 }

@@ -7,29 +7,32 @@ import (
 	"repro/internal/core"
 )
 
-// BenchmarkCorpusGen measures raw entry generation into a warm buffer — the
-// per-entry cost floor of the pipeline (steady state: zero allocations).
+// BenchmarkCorpusGen measures the word draw of one entry, the generation
+// step of the shard body and the per-entry cost floor of the pipeline
+// (zero allocations).
 func BenchmarkCorpusGen(b *testing.B) {
 	g := NewGenerator(DefaultSpec(1<<20), 1)
-	buf, _ := g.Describe(0, nil)
+	var sink core.WordID
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _ = g.Describe(i&(1<<20-1), buf[:0])
+		d := g.draw(i & (1<<20 - 1))
+		for d.more() {
+			sink ^= d.next()
+		}
 	}
-	_ = buf
+	_ = sink
 }
 
-// BenchmarkCorpusShard measures one shard body: generate + classify
-// ShardSize entries through the compiled automaton on pooled scratch.
+// BenchmarkCorpusShard measures one shard body: draw and classify
+// ShardSize entries a word at a time on pooled scratch.
 func BenchmarkCorpusShard(b *testing.B) {
 	g := NewGenerator(DefaultSpec(ShardSize), 1)
-	cls := core.Compiled()
-	sc := &shardScratch{}
+	sc := &core.ClassifyScratch{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg := classifyShard(g, cls, 0, ShardSize, sc)
+		agg := classifyShard(g, 0, ShardSize, sc)
 		if agg.Total != ShardSize {
 			b.Fatal("short shard")
 		}

@@ -116,15 +116,9 @@ func (a *Aggregate) Accuracy() float64 {
 	return float64(a.Correct()) / float64(a.Total)
 }
 
-// shardScratch is the pooled working set of one in-flight shard body: the
-// classifier scratch and the description buffer, reused across shards and
-// across whole runs.
-type shardScratch struct {
-	cls core.ClassifyScratch
-	buf []byte
-}
-
-var scratchPool = par.NewPool(func() *shardScratch { return &shardScratch{} })
+// scratchPool holds the classifier scratch of in-flight shard bodies,
+// reused across shards and across whole runs.
+var scratchPool = par.NewPool(func() *core.ClassifyScratch { return &core.ClassifyScratch{} })
 
 // shardKey derives shard s's memo key. The fingerprint covers everything
 // that determines the shard's aggregate — generation parameters, root seed,
@@ -136,38 +130,34 @@ func (g *Generator) shardKey(s, lo, hi int) cas.Key {
 	return cas.StepKey("corpus", fmt.Sprintf("shard-%d", s), fp, nil)
 }
 
-// classifyShard generates and classifies entries [lo, hi) into a fresh
-// aggregate using the pooled scratch.
-func classifyShard(g *Generator, cls *core.Classifier, lo, hi int, sc *shardScratch) Aggregate {
+// classifyShard classifies entries [lo, hi) into a fresh aggregate, a word
+// at a time, on the pooled scratch s.
+func classifyShard(g *Generator, lo, hi int, s *core.ClassifyScratch) Aggregate {
 	agg := Aggregate{MinLen: math.MaxInt}
 	for i := lo; i < hi; i++ {
-		var dir int
-		sc.buf, dir = g.Describe(i, sc.buf[:0])
-		pred := cls.ClassifyBytes(sc.buf, &sc.cls)
+		dir, pred, n := g.Classify(i, s)
 		agg.Total++
 		agg.Confusion[dir][pred]++
-		agg.DescBytes += int64(len(sc.buf))
-		agg.MinLen = min(agg.MinLen, len(sc.buf))
-		agg.MaxLen = max(agg.MaxLen, len(sc.buf))
-		agg.KeywordHits += int64(sc.cls.Matched())
+		agg.DescBytes += int64(n)
+		agg.MinLen = min(agg.MinLen, n)
+		agg.MaxLen = max(agg.MaxLen, n)
+		agg.KeywordHits += int64(s.Matched())
 	}
 	return agg
 }
 
 // ClassifyAll classifies the whole corpus of g under env through
-// exp.MapShards: each shard is either served from env.Store or generated
-// and classified through the compiled automaton on pooled scratch, and the
-// shard aggregates fold in shard order. The Aggregate is bit-identical for
-// any worker count and any cache state; the ShardStats hit/execute split
-// is also accumulated on env.Metrics as corpus.shards.hit /
-// corpus.shards.exec.
+// exp.MapShards: each shard is either served from env.Store or classified
+// through the word-stride table on pooled scratch, and the shard aggregates
+// fold in shard order. The Aggregate is bit-identical for any worker count
+// and any cache state; the ShardStats hit/execute split is also
+// accumulated on env.Metrics as corpus.shards.hit / corpus.shards.exec.
 func ClassifyAll(env *exp.Env, g *Generator) (*Aggregate, exp.ShardStats, error) {
-	cls := core.Compiled()
 	return exp.MapShards(env, "corpus", g.spec.N, ShardSize, g.shardKey,
 		func(_, lo, hi int) (Aggregate, error) {
-			sc := scratchPool.Get()
-			defer scratchPool.Put(sc)
-			return classifyShard(g, cls, lo, hi, sc), nil
+			s := scratchPool.Get()
+			defer scratchPool.Put(s)
+			return classifyShard(g, lo, hi, s), nil
 		}, (*Aggregate).Merge)
 }
 

@@ -9,15 +9,17 @@
 // cross-direction vocabulary overlap, and noise, where entry i is a pure
 // function of (seed, i) — shards can generate their slices independently,
 // in any order, on any worker count, and always produce the same bytes.
-// Classification runs the compiled keyword automaton (core.Compiled) over
-// fixed-size corpus shards under exp.MapShards, memoizing each shard's
-// aggregate in the content-addressed store: a warm re-run executes
-// zero shard bodies, and growing the corpus re-executes only the shards
-// whose entry ranges actually changed (classify.go).
+// Classification runs the compiled keyword automaton (core.Compiled), read
+// a word at a time through its word-stride table, over fixed-size corpus
+// shards under exp.MapShards, memoizing each shard's aggregate in the
+// content-addressed store: a warm re-run executes zero shard bodies, and
+// growing the corpus re-executes only the shards whose entry ranges
+// actually changed (classify.go).
 package corpus
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -68,24 +70,43 @@ var fillerVocab = [...]string{
 	"vestibule", "zephyr", "gossamer",
 }
 
+// vocabulary is every word an entry can hold, with its word-stride table
+// over the compiled classifier. IDs first[d] to first[d+1]-1 are direction
+// d's keywords, sorted, in canonical direction order; first[5] on are
+// fillerVocab's words.
+type vocabulary struct {
+	words []string
+	first [6]core.WordID
+	table *core.WordTable
+}
+
+// vocab builds the vocabulary once per process, on first use.
+var vocab = sync.OnceValue(func() *vocabulary {
+	v := &vocabulary{}
+	for d, dir := range catalog.Directions() {
+		v.first[d] = core.WordID(len(v.words))
+		v.words = append(v.words, core.KeywordsFor(dir)...)
+	}
+	v.first[5] = core.WordID(len(v.words))
+	v.words = append(v.words, fillerVocab[:]...)
+	v.table = core.Compiled().CompileWords(v.words)
+	return v
+})
+
 // Generator produces the entries of one corpus. It is immutable after
 // construction and safe for concurrent use: all per-entry state lives in
 // the caller's buffers and a stack-local RNG.
 type Generator struct {
 	spec Spec
 	seed int64
-	// vocab holds the per-direction keyword lists in canonical order.
-	vocab [5][]string
+	v    *vocabulary
 	// cum is the cumulative (normalized) direction mix.
 	cum [5]float64
 }
 
 // NewGenerator compiles a generator for the spec and root seed.
 func NewGenerator(spec Spec, seed int64) *Generator {
-	g := &Generator{spec: spec, seed: seed}
-	for i, d := range catalog.Directions() {
-		g.vocab[i] = core.KeywordsFor(d)
-	}
+	g := &Generator{spec: spec, seed: seed, v: vocab()}
 	mix := spec.Mix
 	total := 0.0
 	for _, w := range mix {
@@ -115,38 +136,76 @@ func (g *Generator) direction(r *rng.Rand) int {
 	return 4
 }
 
+// draw is the word draw of one entry, shared by Describe and Classify: its
+// RNG calls, in order, are the generation recipe. Entry i is a pure
+// function of (seed, i): the per-entry stream is split from the root seed
+// with par.SplitSeed, so any shard can generate any slice independently.
+type draw struct {
+	g         *Generator
+	r         rng.Rand
+	dir       int
+	kw, noise int // words of each kind left to draw
+}
+
+// draw starts entry i: it draws the entry's true direction.
+func (g *Generator) draw(i int) draw {
+	d := draw{g: g, r: rng.Seeded(par.SplitSeed(g.seed, i)), kw: g.spec.Keywords, noise: g.spec.Noise}
+	d.dir = g.direction(&d.r)
+	return d
+}
+
+// more reports whether the entry has a word left to draw.
+func (d *draw) more() bool { return d.kw+d.noise > 0 }
+
+// next draws the entry's next word.
+func (d *draw) next() core.WordID {
+	first := &d.g.v.first
+	if d.r.Intn(d.kw+d.noise) < d.kw {
+		// Plant a keyword: usually from the true direction, sometimes
+		// (Overlap) from a foreign one.
+		dir := d.dir
+		if d.g.spec.Overlap > 0 && d.r.Float64() < d.g.spec.Overlap {
+			dir = (d.dir + 1 + d.r.Intn(4)) % 5
+		}
+		d.kw--
+		return first[dir] + core.WordID(d.r.Intn(int(first[dir+1]-first[dir])))
+	}
+	d.noise--
+	return first[5] + core.WordID(d.r.Intn(len(fillerVocab)))
+}
+
 // Describe appends entry i's description to buf and returns the extended
-// buffer plus the entry's true direction (canonical index). Entry i is a
-// pure function of (seed, i): the per-entry stream is split from the root
-// seed with par.SplitSeed, so any shard can generate any slice
-// independently. With a capacious buf it performs zero allocations.
+// buffer plus the entry's true direction (canonical index). It renders the
+// words Classify steps, so it is the text Classify's answer must match.
 func (g *Generator) Describe(i int, buf []byte) ([]byte, int) {
-	r := rng.Seeded(par.SplitSeed(g.seed, i))
-	dir := g.direction(&r)
-	kw := g.spec.Keywords
-	noise := g.spec.Noise
-	first := true
-	for kw+noise > 0 {
+	d := g.draw(i)
+	for first := true; d.more(); first = false {
 		if !first {
 			buf = append(buf, ' ')
 		}
-		first = false
-		if r.Intn(kw+noise) < kw {
-			// Plant a keyword: usually from the true direction, sometimes
-			// (Overlap) from a foreign one.
-			d := dir
-			if g.spec.Overlap > 0 && r.Float64() < g.spec.Overlap {
-				d = (dir + 1 + r.Intn(4)) % 5
-			}
-			words := g.vocab[d]
-			buf = append(buf, words[r.Intn(len(words))]...)
-			kw--
-		} else {
-			buf = append(buf, fillerVocab[r.Intn(len(fillerVocab))]...)
-			noise--
-		}
+		buf = append(buf, g.v.words[d.next()]...)
 	}
-	return buf, dir
+	return buf, d.dir
+}
+
+// Classify classifies entry i without rendering it, stepping the
+// vocabulary's word-stride table over the entry's word draw. It returns
+// the entry's true and predicted directions (canonical indices) and the
+// length in bytes of its description; s holds the scores and matched
+// keywords until its next use, as after core.Classifier.ClassifyInto on
+// Describe's text, which it agrees with exactly. On a warm s it allocates
+// nothing.
+func (g *Generator) Classify(i int, s *core.ClassifyScratch) (dir, pred, n int) {
+	t := g.v.table
+	d := g.draw(i)
+	t.Begin(s)
+	n = -1 // no space before the first word
+	for d.more() {
+		w := d.next()
+		t.Step(w, s)
+		n += 1 + len(g.v.words[w])
+	}
+	return d.dir, t.End(s), max(n, 0)
 }
 
 // Tool materializes entry i as a catalog.Tool — the allocating convenience

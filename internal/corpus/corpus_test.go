@@ -70,38 +70,30 @@ func TestDescribeZeroAllocs(t *testing.T) {
 	}
 }
 
-// The shard body's classify step must not allocate either: ClassifyBytes
-// on generated descriptions out of a reused buffer, on a warm scratch.
-func TestClassifyBytesZeroAllocs(t *testing.T) {
+// The shard body must not allocate either: classifyShard over 1000
+// entries on a warm scratch.
+func TestClassifyEntryZeroAllocs(t *testing.T) {
 	g := NewGenerator(DefaultSpec(1000), 7)
-	cls := core.Compiled()
 	var sc core.ClassifyScratch
-	buf, _ := g.Describe(0, nil)
-	cls.ClassifyBytes(buf, &sc)
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		buf, _ = g.Describe(i%1000, buf[:0])
-		cls.ClassifyBytes(buf, &sc)
-		i++
+	g.Classify(0, &sc)
+	allocs := testing.AllocsPerRun(20, func() {
+		classifyShard(g, 0, g.spec.N, &sc)
 	})
 	if allocs != 0 {
-		t.Fatalf("ClassifyBytes allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("a 1000-entry shard body allocates %.1f times, want 0", allocs)
 	}
 }
 
-// A caller's scratch and buffer stay on its stack: a fresh scratch
-// allocates only its seen and fired slices, as scenarios.MutateCorpus makes
-// one per op.
-func TestClassifyBytesCallerStack(t *testing.T) {
-	cls := core.Compiled()
-	desc := []byte("big data analytics")
+// A caller's scratch stays on its stack: a fresh scratch allocates only its
+// seen and fired slices, as scenarios.MutateCorpus makes one per op.
+func TestClassifyEntryCallerStack(t *testing.T) {
+	g := NewGenerator(DefaultSpec(1000), 7)
 	allocs := testing.AllocsPerRun(100, func() {
 		var sc core.ClassifyScratch
-		buf := make([]byte, 0, 64)
-		cls.ClassifyBytes(append(buf, desc...), &sc)
+		g.Classify(3, &sc)
 	})
 	if allocs != 2 {
-		t.Fatalf("a fresh scratch and buffer cost %.1f allocs, want 2", allocs)
+		t.Fatalf("a fresh scratch costs %.1f allocs, want 2", allocs)
 	}
 }
 
@@ -166,8 +158,8 @@ func naiveAggregate(g *Generator) Aggregate {
 	return agg
 }
 
-// The sharded pipeline must agree exactly with entry-by-entry
-// classification through the public API.
+// The sharded pipeline, which classifies a word at a time, must agree
+// exactly with classifying Describe's text through the public API.
 func TestClassifyAllMatchesNaive(t *testing.T) {
 	g := NewGenerator(DefaultSpec(2*ShardSize+123), 5)
 	agg, stats, err := ClassifyAll(testEnv(4, nil), g)
@@ -183,6 +175,45 @@ func TestClassifyAllMatchesNaive(t *testing.T) {
 	}
 	if agg.Accuracy() < 0.55 {
 		t.Fatalf("default corpus accuracy %.3f implausibly low", agg.Accuracy())
+	}
+}
+
+// The word path agrees with the rendered text across the spec knobs: no
+// overlap to mostly foreign keywords, no filler to filler-heavy entries,
+// one keyword to many.
+func TestWordPathMatchesNaiveAcrossSpecs(t *testing.T) {
+	for _, overlap := range []float64{0, 0.4, 0.9} {
+		for _, noise := range []int{0, 24} {
+			for _, kw := range []int{1, 5, 8} {
+				g := NewGenerator(Spec{N: 300, Overlap: overlap, Noise: noise, Keywords: kw}, 17)
+				got := classifyShard(g, 0, g.spec.N, &core.ClassifyScratch{})
+				if want := naiveAggregate(g); !reflect.DeepEqual(got, want) {
+					t.Fatalf("overlap=%g noise=%d keywords=%d:\n got %+v\nwant %+v", overlap, noise, kw, got, want)
+				}
+			}
+		}
+	}
+}
+
+// An entry with no words is the empty description: length 0, classified as
+// Orchestration, with no keyword hits.
+func TestEmptyEntries(t *testing.T) {
+	g := NewGenerator(Spec{N: 50}, 3)
+	if desc, _ := g.Describe(0, nil); len(desc) != 0 {
+		t.Fatalf("Describe of an empty entry = %q", desc)
+	}
+	var sc core.ClassifyScratch
+	_, pred, n := g.Classify(0, &sc)
+	if n != 0 || pred != catalog.Orchestration.Index() || sc.Matched() != 0 {
+		t.Fatalf("Classify of an empty entry: pred=%d n=%d hits=%d", pred, n, sc.Matched())
+	}
+	got := classifyShard(g, 0, g.spec.N, &sc)
+	if want := naiveAggregate(g); !reflect.DeepEqual(got, want) {
+		t.Fatalf("empty entries:\n got %+v\nwant %+v", got, want)
+	}
+	if got.DescBytes != 0 || got.MinLen != 0 || got.MaxLen != 0 || got.KeywordHits != 0 ||
+		got.PredictedCount(catalog.Orchestration.Index()) != g.spec.N {
+		t.Fatalf("empty entries aggregate: %+v", got)
 	}
 }
 
@@ -338,12 +369,11 @@ func TestCorpusCatalogRoundTrip(t *testing.T) {
 // survives the JSON round-trip the shard cache depends on.
 func TestAggregateMergeAndJSON(t *testing.T) {
 	g := NewGenerator(DefaultSpec(3*ShardSize), 3)
-	cls := core.Compiled()
-	sc := &shardScratch{}
+	sc := &core.ClassifyScratch{}
 	var whole, pieces Aggregate
-	whole = classifyShard(g, cls, 0, 3*ShardSize, sc)
+	whole = classifyShard(g, 0, 3*ShardSize, sc)
 	for s := 0; s < 3; s++ {
-		shard := classifyShard(g, cls, s*ShardSize, (s+1)*ShardSize, sc)
+		shard := classifyShard(g, s*ShardSize, (s+1)*ShardSize, sc)
 		data, err := json.Marshal(&shard)
 		if err != nil {
 			t.Fatal(err)

@@ -46,7 +46,7 @@ func homogeneousCloud(t *testing.T, n int) *continuum.Infrastructure {
 		if err := inf.AddNode(&continuum.Node{
 			ID: fmt.Sprintf("host-%02d", i), Kind: continuum.Cloud, Region: "dc",
 			Cores: 16, GFLOPSPerCore: 25, MemoryGB: 64,
-			IdleW: 120, MaxW: 360, CarbonIntensity: 400, CostPerCoreHour: 0.05,
+			IdleW: 120, MaxW: 360, CostPerCoreHour: 0.05,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -1267,14 +1267,10 @@ func (op MutateCorpus) Apply(ctx context.Context, env *exp.Env, st *State) error
 	}
 	spec := corpus.Spec{N: op.N, Overlap: op.Overlap, Noise: op.Noise, Keywords: op.Keywords}
 	g := corpus.NewGenerator(spec, env.SeedFor(op.Stream))
-	cls := core.Compiled()
 	var sc core.ClassifyScratch
-	buf := make([]byte, 0, 256)
 	classified, correct := 0, 0
 	for i := 0; i < op.N; i++ {
-		var want int
-		buf, want = g.Describe(i, buf[:0])
-		got := cls.ClassifyBytes(buf, &sc)
+		want, got, _ := g.Classify(i, &sc)
 		classified++
 		if got == want {
 			correct++

@@ -128,3 +128,21 @@ func TestHashUniformPinned(t *testing.T) {
 		}
 	}
 }
+
+// MutateCorpus classifies its corpus a word at a time on one scratch: what
+// it allocates does not grow with the corpus size.
+func TestMutateCorpusAllocsPerEntry(t *testing.T) {
+	sim := clock.NewSim(1)
+	env := &exp.Env{Seed: 1, Clock: sim, Metrics: telemetry.NewWithClock(sim)}
+	allocs := func(n int) float64 {
+		op := MutateCorpus{N: n, Overlap: 0.3, Noise: 8, Keywords: 4, Stream: "allocs"}
+		return testing.AllocsPerRun(10, func() {
+			if err := op.Apply(context.Background(), env, &State{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(16), allocs(4096); few != many {
+		t.Fatalf("MutateCorpus allocates %.0f times for 16 entries and %.0f for 4096", few, many)
+	}
+}
