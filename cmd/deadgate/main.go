@@ -24,13 +24,11 @@
 // linked.
 //
 // Each allowlist line is `name category reason`, with category one of
-// oracle, claim, accessor or deferred and a reason of at least one word;
-// blank lines and lines starting with # are skipped. The first three keep a
-// function for good; deferred marks one whose deletion, tests included, is
-// left to a later change, and the summary line counts those entries. The
-// gate also fails on an entry that is malformed, that names a function no
-// longer declared, or that names a function some binary now contains: each
-// entry is a decision that must still hold.
+// oracle, claim or accessor and a reason of at least one word; blank lines
+// and lines starting with # are skipped. The gate also fails on an entry
+// that is malformed, that names a function no longer declared, or that names
+// a function some binary now contains: each entry is a decision that must
+// still hold.
 package main
 
 import (
@@ -55,7 +53,6 @@ var categories = map[string]bool{
 	"oracle":   true, // a reference or validator that tests compare reached code or data against
 	"claim":    true, // code behind an EXPERIMENTS.md ablation row that the root bench_test.go measures
 	"accessor": true, // a read-only view that tests need and that no reached API offers
-	"deferred": true, // slated for deletion with its tests in a later change
 }
 
 // A fn is one declared function: its linker name and where it is written.
@@ -106,7 +103,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			continue
 		}
 		unreached++
-		if _, ok := allow[f.name]; !ok {
+		if !allow[f.name] {
 			problems = append(problems, fmt.Sprintf("%s: %s is reached by no binary (%d lines): delete it, or allowlist it with a category and reason", f.pos, f.name, f.lines))
 		}
 	}
@@ -124,13 +121,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(problems) > 0 {
 		return fmt.Errorf("%d problems", len(problems))
 	}
-	deferred := 0
-	for _, category := range allow {
-		if category == "deferred" {
-			deferred++
-		}
-	}
-	fmt.Fprintf(stdout, "dead gate: clean (%d functions, %d unreached, all allowlisted, %d deferred)\n", len(fns), unreached, deferred)
+	fmt.Fprintf(stdout, "dead gate: clean (%d functions, %d unreached, all allowlisted)\n", len(fns), unreached)
 	return nil
 }
 
@@ -268,13 +259,14 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("%s: no module line", gomod)
 }
 
-// readAllow parses the allowlist into its names and categories.
-func readAllow(path string) (map[string]string, error) {
+// readAllow parses the allowlist into the set of names it lists, checking
+// that each line has a known category and a reason.
+func readAllow(path string) (map[string]bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	allow := make(map[string]string)
+	allow := make(map[string]bool)
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -285,17 +277,17 @@ func readAllow(path string) (map[string]string, error) {
 		case len(f) < 3:
 			return nil, fmt.Errorf("%s:%d: want `name category reason`, got %q", path, i+1, line)
 		case !categories[f[1]]:
-			return nil, fmt.Errorf("%s:%d: category %q is not oracle, claim, accessor or deferred", path, i+1, f[1])
+			return nil, fmt.Errorf("%s:%d: category %q is not oracle, claim or accessor", path, i+1, f[1])
 		}
-		if _, dup := allow[f[0]]; dup {
+		if allow[f[0]] {
 			return nil, fmt.Errorf("%s:%d: %s is listed twice", path, i+1, f[0])
 		}
-		allow[f[0]] = f[1]
+		allow[f[0]] = true
 	}
 	return allow, nil
 }
 
-func sortedKeys(m map[string]string) []string {
+func sortedKeys(m map[string]bool) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

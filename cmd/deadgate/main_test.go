@@ -107,16 +107,7 @@ func TestGatePasses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gate failed: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "clean (7 functions, 3 unreached, all allowlisted, 0 deferred)") {
-		t.Errorf("output = %q", out)
-	}
-
-	// A deferred entry must hold like any other, and the summary counts it.
-	deferred := strings.Replace(goodAllow, "pkg.Listed accessor kept for the tests", "pkg.Listed deferred deleted with its tests later", 1)
-	if out, err = gate(t, deferred); err != nil {
-		t.Fatalf("gate failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "3 unreached, all allowlisted, 1 deferred)") {
+	if !strings.Contains(out, "clean (7 functions, 3 unreached, all allowlisted)") {
 		t.Errorf("output = %q", out)
 	}
 }
@@ -137,6 +128,9 @@ func TestGateFails(t *testing.T) {
 		{"entry without category", goodAllow + "example/internal/pkg.Extra\n", "want `name category reason`"},
 		{"entry without reason", goodAllow + "example/internal/pkg.Extra oracle\n", "want `name category reason`"},
 		{"unknown category", goodAllow + "example/internal/pkg.Extra helper used by tests\n", `category "helper"`},
+		{"deferred category",
+			strings.Replace(goodAllow, "pkg.Listed accessor kept for the tests", "pkg.Listed deferred deleted with its tests later", 1),
+			`category "deferred"`},
 		{"duplicate entry", goodAllow + "example/internal/pkg.F oracle again\n", "listed twice"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

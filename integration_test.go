@@ -24,7 +24,6 @@ import (
 	"repro/internal/orchestrator"
 	"repro/internal/pmu"
 	"repro/internal/ppc"
-	"repro/internal/survey"
 	"repro/internal/worldmodel"
 )
 
@@ -208,36 +207,5 @@ func TestCompressionApplicationEndToEnd(t *testing.T) {
 	}
 	if a.Ratio() >= 1 {
 		t.Errorf("no compression achieved: %v", a.Ratio())
-	}
-}
-
-// The survey recommender, run over the full catalog, must recommend for
-// application 3.1 at least one tool the providers actually selected —
-// the machinery and the recorded data agree.
-func TestSurveyRecommenderIntersectsRecorded(t *testing.T) {
-	c := catalog.Default()
-	s, err := survey.Run(c, survey.NeedMatchingRespondent{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, resp := range s.Responses {
-		app, _ := c.Application(resp.ApplicationID)
-		if len(app.SelectedTools) == 0 || len(resp.Tools) == 0 {
-			continue
-		}
-		rec := map[string]bool{}
-		for _, tool := range resp.Tools {
-			rec[tool] = true
-		}
-		overlap := 0
-		for _, tool := range app.SelectedTools {
-			if rec[tool] {
-				overlap++
-			}
-		}
-		if overlap == 0 {
-			t.Errorf("app %s: recommender (%v) disjoint from recorded (%v)",
-				app.ID, resp.Tools, app.SelectedTools)
-		}
 	}
 }

@@ -102,7 +102,10 @@ type Application struct {
 	// SelectedTools are the tools the application provider identified for
 	// integration — the checkmarks of the paper's Table 2.
 	SelectedTools []string `json:"selected_tools"`
-	// Needs are coarse requirement tags used by the survey recommender.
+	// Needs are coarse requirement tags. No code reads them, but they stay:
+	// their JSON is part of the catalog bytes report.StudyFingerprint hashes,
+	// so dropping them would re-key every report section
+	// (TestSectionKeysPinned) and turn existing -cache directories cold.
 	Needs []string `json:"needs,omitempty"`
 }
 

@@ -207,27 +207,3 @@ func (g *Generator) Classify(i int, s *core.ClassifyScratch) (dir, pred, n int) 
 	}
 	return d.dir, t.End(s), max(n, 0)
 }
-
-// Tool materializes entry i as a catalog.Tool — the allocating convenience
-// the streamed JSON export uses. The manual label (Direction) is the true
-// direction the entry was generated from.
-func (g *Generator) Tool(i int) catalog.Tool {
-	desc, dir := g.Describe(i, nil)
-	return catalog.Tool{
-		Name:        fmt.Sprintf("syn-%08d", i),
-		Direction:   catalog.Directions()[dir],
-		Description: string(desc),
-	}
-}
-
-// ExportTools streams entries [0, n) of the corpus as the catalog tool
-// format through w — the bridge from generated corpora to every consumer
-// of catalog JSON.
-func (g *Generator) ExportTools(w *catalog.ToolWriter, n int) error {
-	for i := 0; i < n; i++ {
-		if err := w.Write(g.Tool(i)); err != nil {
-			return err
-		}
-	}
-	return w.Close()
-}

@@ -3,7 +3,6 @@ package energy
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -247,172 +246,4 @@ func freeCores(inf *continuum.Infrastructure) int {
 		n += node.FreeCores()
 	}
 	return n
-}
-
-func testModel() *DVFSModel {
-	return &DVFSModel{FMinGHz: 0.8, FMaxGHz: 3.2, StaticW: 10, DynamicW: 40}
-}
-
-func TestDVFSValidate(t *testing.T) {
-	bad := []*DVFSModel{
-		{FMinGHz: 0, FMaxGHz: 1, StaticW: 1, DynamicW: 1},
-		{FMinGHz: 2, FMaxGHz: 1, StaticW: 1, DynamicW: 1},
-		{FMinGHz: 1, FMaxGHz: 2, StaticW: -1, DynamicW: 1},
-		{FMinGHz: 1, FMaxGHz: 2, StaticW: 1, DynamicW: 0},
-	}
-	for i, m := range bad {
-		if err := m.Validate(); err == nil {
-			t.Errorf("bad model %d accepted", i)
-		}
-	}
-	if err := testModel().Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDVFSPowerMonotone(t *testing.T) {
-	m := testModel()
-	if m.PowerW(3.2) != 50 {
-		t.Errorf("P(fmax) = %v, want 50", m.PowerW(3.2))
-	}
-	prev := 0.0
-	for f := m.FMinGHz; f <= m.FMaxGHz; f += 0.1 {
-		p := m.PowerW(f)
-		if p <= prev {
-			t.Fatalf("power not increasing at %v", f)
-		}
-		prev = p
-	}
-	// Clamping.
-	if m.PowerW(100) != m.PowerW(m.FMaxGHz) {
-		t.Error("clamp high failed")
-	}
-	if m.PowerW(0.1) != m.PowerW(m.FMinGHz) {
-		t.Error("clamp low failed")
-	}
-}
-
-func TestEnergyMinimalFrequency(t *testing.T) {
-	m := testModel()
-	// Loose deadline → unconstrained optimum f* = cbrt(10*3.2^3/80).
-	fStar := math.Cbrt(10 * 3.2 * 3.2 * 3.2 / (2 * 40))
-	f, err := m.EnergyMinimalFrequency(10, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Max(fStar, m.FMinGHz)
-	if math.Abs(f-want) > 1e-9 {
-		t.Errorf("f = %v, want %v", f, want)
-	}
-	// Tight deadline → deadline-imposed frequency.
-	f, err = m.EnergyMinimalFrequency(32, 10.0) // need 3.2 GHz
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f-3.2) > 1e-9 {
-		t.Errorf("deadline frequency = %v, want 3.2", f)
-	}
-	// Impossible deadline.
-	if _, err := m.EnergyMinimalFrequency(100, 1); !errors.Is(err, ErrDeadline) {
-		t.Errorf("err = %v, want ErrDeadline", err)
-	}
-	// Degenerate inputs.
-	if _, err := m.EnergyMinimalFrequency(10, 0); err == nil {
-		t.Error("zero deadline accepted")
-	}
-	if f, err := m.EnergyMinimalFrequency(0, 1); err != nil || f != m.FMinGHz {
-		t.Errorf("zero work → fmin, got %v, %v", f, err)
-	}
-}
-
-// Property: the optimal frequency never consumes more energy than either
-// running at FMax or at the slowest deadline-feasible frequency.
-func TestDVFSOptimalityProperty(t *testing.T) {
-	m := testModel()
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 300; trial++ {
-		work := 1 + rng.Float64()*100
-		minTime := work / m.FMaxGHz
-		deadline := minTime * (1 + rng.Float64()*5)
-		fOpt, err := m.EnergyMinimalFrequency(work, deadline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.RuntimeS(work, fOpt) > deadline+1e-9 {
-			t.Fatalf("optimal frequency misses deadline")
-		}
-		eOpt := m.EnergyJ(work, fOpt)
-		for _, f := range []float64{m.FMaxGHz, math.Max(work/deadline, m.FMinGHz)} {
-			if m.RuntimeS(work, f) <= deadline+1e-9 {
-				if e := m.EnergyJ(work, f); e < eOpt-1e-6 {
-					t.Fatalf("frequency %v beats 'optimal' %v: %v < %v", f, fOpt, e, eOpt)
-				}
-			}
-		}
-	}
-}
-
-func TestRaceToIdleComparison(t *testing.T) {
-	m := testModel()
-	work, deadline := 32.0, 40.0
-	fOpt, err := m.EnergyMinimalFrequency(work, deadline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eDVFS := m.EnergyJ(work, fOpt)
-	eRace, err := m.RaceToIdleEnergyJ(work, deadline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With cubic dynamic power and static idle cost, DVFS at the optimum
-	// must not lose to race-to-idle in this model.
-	if eDVFS > eRace+1e-9 {
-		t.Errorf("DVFS %v worse than race-to-idle %v", eDVFS, eRace)
-	}
-	if _, err := m.RaceToIdleEnergyJ(1000, 1); !errors.Is(err, ErrDeadline) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestCarbonFootprint(t *testing.T) {
-	p := CarbonProfile{PUE: 1.5, IntensityGPerKWh: 400}
-	g, err := p.FootprintG(3.6e6) // 1 kWh
-	if err != nil || math.Abs(g-600) > 1e-9 {
-		t.Errorf("footprint = %v, %v; want 600 g", g, err)
-	}
-	if _, err := p.FootprintG(-1); err == nil {
-		t.Error("negative energy accepted")
-	}
-	if _, err := (CarbonProfile{PUE: 0.9, IntensityGPerKWh: 1}).FootprintG(1); err == nil {
-		t.Error("PUE < 1 accepted")
-	}
-	if tm := TreeMonths(917); math.Abs(tm-1) > 1e-9 {
-		t.Errorf("tree months = %v", tm)
-	}
-}
-
-func TestRankGreen500(t *testing.T) {
-	systems := []SystemRating{
-		{Name: "leonardo", GFLOPS: 238e6, PowerW: 7.5e6},
-		{Name: "edge-box", GFLOPS: 40, PowerW: 25},
-		{Name: "old-cluster", GFLOPS: 1e5, PowerW: 2e5},
-	}
-	ranked, err := RankGreen500(systems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ranked[0].Name != "leonardo" {
-		t.Errorf("top = %s", ranked[0].Name)
-	}
-	if ranked[2].Name != "old-cluster" {
-		t.Errorf("bottom = %s", ranked[2].Name)
-	}
-	for _, r := range ranked {
-		if r.GFLOPSPerW <= 0 {
-			t.Errorf("%s efficiency = %v", r.Name, r.GFLOPSPerW)
-		}
-	}
-	if _, err := RankGreen500([]SystemRating{{Name: "x", PowerW: 0}}); err == nil {
-		t.Error("zero power accepted")
-	}
 }

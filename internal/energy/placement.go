@@ -1,7 +1,6 @@
 // Package energy implements the energy-efficiency substrate (Section 2.3 of
-// the paper): PESOS-style QoS-aware virtual-machine consolidation, a DVFS
-// frequency-scaling model (dvfs.go), Green-Algorithms-style carbon
-// accounting and a Green500-style efficiency ranking (carbon.go).
+// the paper): PESOS-style QoS-aware virtual-machine consolidation, with
+// spreading as the baseline it is measured against.
 //
 // The headline mechanism is the one PESOS (Catena & Tonellotto, 2017)
 // applies to query processing and the paper generalizes to the Continuum:

@@ -1,8 +1,7 @@
 // Package stats provides the small statistical toolkit used by the mapping
 // study engine and the substrate simulators: descriptive statistics,
-// categorical distributions, histograms, divergence measures, and the
-// Pennycook performance-portability metric referenced in Section 2.4 of the
-// paper.
+// categorical distributions with their entropy, balance and chi-square
+// measures, and integer histograms.
 //
 // Everything is pure and deterministic; no global state.
 package stats
@@ -111,36 +110,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
-// GeoMean returns the geometric mean of xs. All values must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geometric mean requires positive values, got %v", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
-// HarmonicMean returns the harmonic mean of xs. All values must be positive.
-func HarmonicMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var inv float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: harmonic mean requires positive values, got %v", x)
-		}
-		inv += 1 / x
-	}
-	return float64(len(xs)) / inv, nil
-}
 
 // Summary bundles the descriptive statistics of a sample.
 type Summary struct {

@@ -159,20 +159,3 @@ func TestVarianceProperties(t *testing.T) {
 		}
 	}
 }
-
-func TestGeoAndHarmonicMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil || !almostEqual(g, 4, 1e-12) {
-		t.Errorf("GeoMean = %v, %v; want 4", g, err)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("GeoMean with zero should error")
-	}
-	h, err := HarmonicMean([]float64{1, 2, 4})
-	if err != nil || !almostEqual(h, 3.0/(1+0.5+0.25), 1e-12) {
-		t.Errorf("HarmonicMean = %v, %v", h, err)
-	}
-	if _, err := HarmonicMean(nil); err != ErrEmpty {
-		t.Errorf("HarmonicMean(nil) err = %v", err)
-	}
-}

@@ -202,107 +202,3 @@ func Map[I, O any](s *Stream[I], f func(I) O, opts ...Option) *Stream[O] {
 	}()
 	return &Stream[O]{ch: out, ctx: s.ctx}
 }
-
-// Filter keeps the items for which pred returns true, preserving order.
-func Filter[T any](s *Stream[T], pred func(T) bool, opts ...Option) *Stream[T] {
-	o := buildOptions(append([]Option{Workers(1)}, opts...))
-	out := make(chan T, o.buffer)
-	go func() {
-		defer close(out)
-		for v := range s.ch {
-			if !pred(v) {
-				continue
-			}
-			select {
-			case out <- v:
-			case <-s.ctx.Done():
-				return
-			}
-		}
-	}()
-	return &Stream[T]{ch: out, ctx: s.ctx}
-}
-
-// FlatMap maps each item to zero or more outputs, preserving order.
-func FlatMap[I, O any](s *Stream[I], f func(I) []O, opts ...Option) *Stream[O] {
-	o := buildOptions(append([]Option{Workers(1)}, opts...))
-	out := make(chan O, o.buffer)
-	go func() {
-		defer close(out)
-		for v := range s.ch {
-			for _, r := range f(v) {
-				select {
-				case out <- r:
-				case <-s.ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-	return &Stream[O]{ch: out, ctx: s.ctx}
-}
-
-// Reduce folds the whole stream into an accumulator.
-func Reduce[T, A any](s *Stream[T], init A, f func(A, T) A) (A, error) {
-	acc := init
-	for {
-		select {
-		case v, ok := <-s.ch:
-			if !ok {
-				return acc, nil
-			}
-			acc = f(acc, v)
-		case <-s.ctx.Done():
-			return acc, s.ctx.Err()
-		}
-	}
-}
-
-// Tee duplicates a stream into two identical streams. Both outputs must be
-// consumed or the upstream stalls (bounded buffers).
-func Tee[T any](s *Stream[T]) (*Stream[T], *Stream[T]) {
-	a := make(chan T, defaultBuffer)
-	b := make(chan T, defaultBuffer)
-	go func() {
-		defer close(a)
-		defer close(b)
-		for v := range s.ch {
-			select {
-			case a <- v:
-			case <-s.ctx.Done():
-				return
-			}
-			select {
-			case b <- v:
-			case <-s.ctx.Done():
-				return
-			}
-		}
-	}()
-	return &Stream[T]{ch: a, ctx: s.ctx}, &Stream[T]{ch: b, ctx: s.ctx}
-}
-
-// Merge interleaves several streams into one; the output closes when all
-// inputs close. Order across inputs is arrival order.
-func Merge[T any](ctx context.Context, streams ...*Stream[T]) *Stream[T] {
-	out := make(chan T, defaultBuffer)
-	var wg sync.WaitGroup
-	for _, s := range streams {
-		wg.Add(1)
-		go func(s *Stream[T]) {
-			defer wg.Done()
-			for v := range s.ch {
-				select {
-				case out <- v:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}(s)
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return &Stream[T]{ch: out, ctx: ctx}
-}

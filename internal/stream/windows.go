@@ -6,8 +6,8 @@ import (
 )
 
 // This file implements WindFlow-style windowed operators: keyed partitioning
-// and count/time-based windows over event streams. Windows carry their key
-// and bounds so downstream aggregations can label results.
+// and count-based windows over event streams. Windows carry their key and
+// bounds so downstream aggregations can label results.
 
 // Event is a timestamped, keyed record — the unit of windowed processing.
 type Event[T any] struct {
@@ -96,99 +96,4 @@ func KeyBy[T any](ctx context.Context, s *Stream[T], keyFn func(T) string) *Stre
 		}
 	}()
 	return &Stream[Event[T]]{ch: out, ctx: ctx}
-}
-
-// TumblingTime groups each key's events into fixed, aligned time windows of
-// the given width: window i covers [i*width, (i+1)*width). Events must
-// arrive in non-decreasing time order per key; a window is emitted when an
-// event beyond its end arrives, and all open windows flush at stream close.
-func TumblingTime[T any](s *Stream[Event[T]], width float64) *Stream[Window[T]] {
-	out := make(chan Window[T], defaultBuffer)
-	go func() {
-		defer close(out)
-		if width <= 0 {
-			return
-		}
-		type open struct {
-			start float64
-			items []T
-		}
-		wins := map[string]*open{}
-		emit := func(key string, o *open) bool {
-			select {
-			case out <- Window[T]{Key: key, Start: o.start, End: o.start + width, Items: o.items}:
-				return true
-			case <-s.ctx.Done():
-				return false
-			}
-		}
-		for ev := range s.ch {
-			startOf := func(t float64) float64 {
-				return float64(int(t/width)) * width
-			}
-			w, ok := wins[ev.Key]
-			if ok && ev.Time >= w.start+width {
-				if !emit(ev.Key, w) {
-					return
-				}
-				ok = false
-			}
-			if !ok {
-				wins[ev.Key] = &open{start: startOf(ev.Time), items: []T{ev.Val}}
-				continue
-			}
-			w.items = append(w.items, ev.Val)
-		}
-		keys := make([]string, 0, len(wins))
-		for k := range wins {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if !emit(k, wins[k]) {
-				return
-			}
-		}
-	}()
-	return &Stream[Window[T]]{ch: out, ctx: s.ctx}
-}
-
-// SlidingCount emits, per key, a window of the last n items every slide
-// arrivals (slide <= n gives overlapping windows). Windows are emitted only
-// once full (no partial flush), matching WindFlow's CB-window semantics.
-func SlidingCount[T any](s *Stream[Event[T]], n, slide int) *Stream[Window[T]] {
-	out := make(chan Window[T], defaultBuffer)
-	go func() {
-		defer close(out)
-		if n <= 0 || slide <= 0 {
-			return
-		}
-		buf := map[string][]T{}
-		seen := map[string]int{}
-		sinceEmit := map[string]int{}
-		for ev := range s.ch {
-			buf[ev.Key] = append(buf[ev.Key], ev.Val)
-			if len(buf[ev.Key]) > n {
-				buf[ev.Key] = buf[ev.Key][len(buf[ev.Key])-n:]
-			}
-			seen[ev.Key]++
-			sinceEmit[ev.Key]++
-			if len(buf[ev.Key]) == n && sinceEmit[ev.Key] >= slide {
-				sinceEmit[ev.Key] = 0
-				items := append([]T(nil), buf[ev.Key]...)
-				w := Window[T]{
-					Key:   ev.Key,
-					Start: float64(seen[ev.Key] - n),
-					End:   float64(seen[ev.Key]),
-					Items: items,
-				}
-				select {
-				case out <- w:
-				case <-s.ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-	return &Stream[Window[T]]{ch: out, ctx: s.ctx}
 }

@@ -197,60 +197,3 @@ func TestWindowedPipelineEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-func TestTumblingTime(t *testing.T) {
-	ctx := context.Background()
-	evs := []Event[int]{
-		{Key: "s", Time: 0.1, Val: 1},
-		{Key: "s", Time: 0.9, Val: 2},
-		{Key: "s", Time: 1.5, Val: 3}, // next window [1,2)
-		{Key: "s", Time: 3.2, Val: 4}, // skips window [2,3)
-	}
-	wins, err := TumblingTime(FromSlice(ctx, evs), 1.0).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wins) != 3 {
-		t.Fatalf("windows = %+v", wins)
-	}
-	if wins[0].Start != 0 || len(wins[0].Items) != 2 {
-		t.Errorf("w0 = %+v", wins[0])
-	}
-	if wins[1].Start != 1 || wins[1].Items[0] != 3 {
-		t.Errorf("w1 = %+v", wins[1])
-	}
-	if wins[2].Start != 3 || wins[2].Items[0] != 4 {
-		t.Errorf("w2 = %+v", wins[2])
-	}
-}
-
-func TestSlidingCount(t *testing.T) {
-	ctx := context.Background()
-	var evs []Event[int]
-	for i := 1; i <= 6; i++ {
-		evs = append(evs, Event[int]{Key: "k", Time: float64(i), Val: i})
-	}
-	wins, err := SlidingCount(FromSlice(ctx, evs), 3, 1).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Windows: [1 2 3] [2 3 4] [3 4 5] [4 5 6].
-	if len(wins) != 4 {
-		t.Fatalf("windows = %+v", wins)
-	}
-	first, last := wins[0], wins[3]
-	if first.Items[0] != 1 || first.Items[2] != 3 {
-		t.Errorf("first = %+v", first)
-	}
-	if last.Items[0] != 4 || last.Items[2] != 6 {
-		t.Errorf("last = %+v", last)
-	}
-	// Slide 2: [1 2 3] (after 3rd), then after 5th: [3 4 5] → 2 windows... plus after 6? sinceEmit resets at 5, 6th gives 1 < 2.
-	wins2, err := SlidingCount(FromSlice(ctx, evs), 3, 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wins2) != 2 {
-		t.Errorf("slide-2 windows = %+v", wins2)
-	}
-}

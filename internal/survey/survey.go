@@ -5,10 +5,9 @@
 // aggregation, and produces the integration matrix behind the paper's
 // Table 2 and Figure 4.
 //
-// Respondents can either replay recorded selections (reproducing the paper's
-// data exactly) or act as need-matching agents that pick tools whose
-// capability tags satisfy the application's declared needs — the mechanism
-// used to sanity-check the recorded votes.
+// RecordedRespondent replays the recorded selections, reproducing the
+// paper's data exactly; scenarios.PerturbSurvey runs a respondent that flips
+// some of them and measures the drift with Agreement.
 package survey
 
 import (
@@ -49,90 +48,6 @@ func (RecordedRespondent) Respond(app *catalog.Application, tools []catalog.Tool
 		ApplicationID: app.ID,
 		Tools:         append([]string(nil), app.SelectedTools...),
 	}, nil
-}
-
-// capabilityTags maps a tool name to the coarse requirement tags it serves.
-// Tags mirror Application.Needs. This encoding is the survey recommender's
-// knowledge base, distilled from the tool descriptions in Section 2.
-var capabilityTags = map[string][]string{
-	"BookedSlurm":      {"interactivity"},
-	"ICS":              {"interactivity"},
-	"Jupyter Workflow": {"interactivity", "hybrid-execution"},
-	"TORCH":            {"dynamic-orchestration"},
-	"INDIGO":           {"dynamic-orchestration", "federation"},
-	"Liqo":             {"federation"},
-	"StreamFlow":       {"hybrid-execution", "portability", "dynamic-orchestration"},
-	"SPF":              {"sensor-data"},
-	"BDMaaS+":          {"placement-optimization", "parallel-simulation"},
-	"MoveQUIC":         {"migration"},
-	"PESOS":            {"energy", "qos"},
-	"Lapegna et al.":   {"energy"},
-	"De Lucia et al.":  {"energy", "accelerators"},
-	"FastFlow":         {"batch-parallelism", "streaming"},
-	"Nethuns":          {"io-performance"},
-	"INSANE":           {"io-performance", "qos"},
-	"CAPIO":            {"io-performance", "streaming"},
-	"BLEST-ML":         {"batch-parallelism"},
-	"MLIR":             {"portability", "accelerators"},
-	"ParSoDA":          {"batch-parallelism"},
-	"MALAGA":           {"batch-parallelism"},
-	"aMLLibrary":       {"automl"},
-	"WindFlow":         {"streaming", "accelerators"},
-	"CHD":              {"sensor-data"},
-	"Mingotti et al.":  {"sensor-data"},
-}
-
-// CapabilityTags returns the tags for a tool name (nil if unknown). The
-// returned slice must not be modified.
-func CapabilityTags(tool string) []string { return capabilityTags[tool] }
-
-// NeedMatchingRespondent selects every tool that covers at least one of the
-// application's declared needs, up to MaxSelections tools (0 = unlimited),
-// preferring tools that cover more needs.
-type NeedMatchingRespondent struct {
-	MaxSelections int
-}
-
-// Respond scores tools by need overlap and returns those with positive score.
-func (r NeedMatchingRespondent) Respond(app *catalog.Application, tools []catalog.Tool) (Response, error) {
-	if app == nil {
-		return Response{}, errors.New("survey: nil application")
-	}
-	needs := map[string]bool{}
-	for _, n := range app.Needs {
-		needs[n] = true
-	}
-	type scored struct {
-		name  string
-		score int
-	}
-	var hits []scored
-	for _, t := range tools {
-		s := 0
-		for _, tag := range capabilityTags[t.Name] {
-			if needs[tag] {
-				s++
-			}
-		}
-		if s > 0 {
-			hits = append(hits, scored{t.Name, s})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].score != hits[j].score {
-			return hits[i].score > hits[j].score
-		}
-		return hits[i].name < hits[j].name
-	})
-	if r.MaxSelections > 0 && len(hits) > r.MaxSelections {
-		hits = hits[:r.MaxSelections]
-	}
-	resp := Response{ApplicationID: app.ID, Rationale: map[string]string{}}
-	for _, h := range hits {
-		resp.Tools = append(resp.Tools, h.name)
-		resp.Rationale[h.name] = fmt.Sprintf("covers %d declared need(s)", h.score)
-	}
-	return resp, nil
 }
 
 // Survey runs the Section 3 selection survey over a catalog.
@@ -256,8 +171,9 @@ func (s *Survey) UnselectedTools() []string {
 }
 
 // Agreement compares two surveys over the same catalog and returns the
-// Jaccard similarity of their selection sets (1 = identical votes). It is
-// used to check the need-matching agent against the recorded selections.
+// Jaccard similarity of their selection sets (1 = identical votes).
+// scenarios.PerturbSurvey uses it to measure how far a perturbed survey
+// drifts from the recorded selections.
 func Agreement(a, b *Survey) (float64, error) {
 	if a.Catalog != b.Catalog && a.Catalog.String() != b.Catalog.String() {
 		return 0, errors.New("survey: surveys over different catalogs")

@@ -110,49 +110,6 @@ func TestUnselectedTools(t *testing.T) {
 	}
 }
 
-func TestNeedMatchingRespondent(t *testing.T) {
-	c := catalog.Default()
-	s, err := Run(c, NeedMatchingRespondent{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every application with needs gets at least one recommendation.
-	for _, r := range s.Responses {
-		app, _ := c.Application(r.ApplicationID)
-		if len(app.Needs) > 0 && len(r.Tools) == 0 {
-			t.Errorf("app %s (needs %v) got no recommendations", app.ID, app.Needs)
-		}
-		for _, tool := range r.Tools {
-			if r.Rationale[tool] == "" {
-				t.Errorf("app %s: tool %s has no rationale", app.ID, tool)
-			}
-		}
-	}
-	// The recommender must broadly agree with the recorded survey: the
-	// same critical-need signal (orchestration-heavy) should emerge.
-	d, err := s.VotesByDirection()
-	if err != nil {
-		t.Fatal(err)
-	}
-	top, _ := d.ArgMax()
-	if top != string(catalog.Orchestration) {
-		t.Errorf("need-matching top direction = %s, want Orchestration", top)
-	}
-}
-
-func TestNeedMatchingMaxSelections(t *testing.T) {
-	c := catalog.Default()
-	s, err := Run(c, NeedMatchingRespondent{MaxSelections: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range s.Responses {
-		if len(r.Tools) > 2 {
-			t.Errorf("app %s got %d selections, cap is 2", r.ApplicationID, len(r.Tools))
-		}
-	}
-}
-
 func TestAgreementBounds(t *testing.T) {
 	c := catalog.Default()
 	a, _ := Run(c, RecordedRespondent{})
@@ -161,18 +118,38 @@ func TestAgreementBounds(t *testing.T) {
 	if err != nil || sim != 1 {
 		t.Errorf("identical surveys agreement = %v, %v; want 1", sim, err)
 	}
-	nm, _ := Run(c, NeedMatchingRespondent{})
-	sim, err = Agreement(a, nm)
+
+	// Dropping each application's first recorded tool leaves a subset of
+	// the recorded votes: the intersection is what is kept and the union is
+	// every recorded vote.
+	drop := respondentFunc(func(app *catalog.Application, tools []catalog.Tool) (Response, error) {
+		r := Response{ApplicationID: app.ID}
+		if len(app.SelectedTools) > 0 {
+			r.Tools = append(r.Tools, app.SelectedTools[1:]...)
+		}
+		return r, nil
+	})
+	partial, err := Run(c, drop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim <= 0 || sim > 1 {
-		t.Errorf("agreement = %v, want in (0,1]", sim)
+	kept, all := 0, 0
+	for _, app := range c.Applications {
+		all += len(app.SelectedTools)
+		kept += max(len(app.SelectedTools)-1, 0)
 	}
-	// The need-matching agent should recover a substantial share of the
-	// recorded votes (the tags were distilled from the same descriptions).
-	if sim < 0.4 {
-		t.Errorf("agreement with recorded survey = %v, want >= 0.4", sim)
+	want := float64(kept) / float64(all)
+	for _, pair := range [][2]*Survey{{a, partial}, {partial, a}} {
+		sim, err := Agreement(pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim != want {
+			t.Errorf("partial agreement = %v, want %d/%d = %v", sim, kept, all, want)
+		}
+		if sim <= 0 || sim >= 1 {
+			t.Errorf("partial agreement = %v, want in (0,1)", sim)
+		}
 	}
 }
 
@@ -199,18 +176,6 @@ type respondentFunc func(*catalog.Application, []catalog.Tool) (Response, error)
 
 func (f respondentFunc) Respond(a *catalog.Application, t []catalog.Tool) (Response, error) {
 	return f(a, t)
-}
-
-func TestCapabilityTagsCoverAllTools(t *testing.T) {
-	c := catalog.Default()
-	for _, tool := range c.Tools {
-		if len(CapabilityTags(tool.Name)) == 0 {
-			t.Errorf("tool %q has no capability tags", tool.Name)
-		}
-	}
-	if CapabilityTags("nonexistent") != nil {
-		t.Error("unknown tool should have nil tags")
-	}
 }
 
 func TestQuestionText(t *testing.T) {

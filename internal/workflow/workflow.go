@@ -5,7 +5,7 @@
 //
 // The package provides the graph model with validation (cycle detection,
 // dangling dependencies), structural analyses used by orchestrators
-// (topological order, level decomposition, critical path), and a concurrent
+// (topological order, level decomposition), and a concurrent
 // in-process executor (runner.go) that runs independent steps in parallel on
 // goroutines — the execution model that tools like StreamFlow and Jupyter
 // Workflow map onto distributed resources.
@@ -232,46 +232,4 @@ func (w *Workflow) TotalWork() float64 {
 		t += w.steps[id].WorkGFlop
 	}
 	return t
-}
-
-// CriticalPath returns the chain of steps with the largest total duration
-// under the given per-step duration estimate, along with its length. It is
-// the lower bound on makespan with unlimited resources.
-func (w *Workflow) CriticalPath(duration func(*Step) float64) ([]string, float64, error) {
-	topo, err := w.TopoOrder()
-	if err != nil {
-		return nil, 0, err
-	}
-	dist := map[string]float64{}
-	prev := map[string]string{}
-	var endID string
-	best := -1.0
-	for _, id := range topo {
-		s := w.steps[id]
-		d := duration(s)
-		if d < 0 {
-			return nil, 0, fmt.Errorf("workflow: negative duration for step %q", id)
-		}
-		start := 0.0
-		for _, dep := range s.After {
-			if dist[dep] > start {
-				start = dist[dep]
-				prev[id] = dep
-			}
-		}
-		dist[id] = start + d
-		if dist[id] > best {
-			best = dist[id]
-			endID = id
-		}
-	}
-	var path []string
-	for id := endID; id != ""; id = prev[id] {
-		path = append(path, id)
-	}
-	// Reverse.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, best, nil
 }

@@ -112,32 +112,6 @@ func TestLevels(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	w := diamond(t)
-	dur := func(s *Step) float64 { return s.WorkGFlop }
-	path, length, err := w.CriticalPath(dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a(10) → c(30) → d(5) = 45.
-	if length != 45 {
-		t.Errorf("critical length = %v, want 45", length)
-	}
-	want := []string{"a", "c", "d"}
-	if len(path) != 3 {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Errorf("path[%d] = %q, want %q", i, path[i], want[i])
-		}
-	}
-	// Negative duration rejected.
-	if _, _, err := w.CriticalPath(func(*Step) float64 { return -1 }); err == nil {
-		t.Error("negative duration accepted")
-	}
-}
-
 func TestDependents(t *testing.T) {
 	w := diamond(t)
 	deps := w.Dependents("a")
@@ -189,19 +163,7 @@ func TestRandomDAGsProperty(t *testing.T) {
 				}
 			}
 		}
-		// Critical path length never exceeds total work and is at least the
-		// largest single step.
-		_, cp, err := w.CriticalPath(func(s *Step) float64 { return s.WorkGFlop })
-		if err != nil {
-			return false
-		}
-		maxStep := 0.0
-		for _, s := range w.Steps() {
-			if s.WorkGFlop > maxStep {
-				maxStep = s.WorkGFlop
-			}
-		}
-		return cp <= w.TotalWork()+1e-9 && cp >= maxStep-1e-9
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
