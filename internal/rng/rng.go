@@ -16,7 +16,7 @@
 // worker counts, or the machine.
 //
 // Rand intentionally mirrors the subset of math/rand.Rand the hot paths
-// use (Float64, Intn, ExpFloat64, NormFloat64, Perm, Shuffle), with the
+// use (Float64, Intn, ExpFloat64, NormFloat64, Shuffle), with the
 // same parameter conventions, so call sites swap by changing the
 // constructor. The streams differ from math/rand — swapping regenerates
 // any stream-derived golden exactly once.
@@ -105,10 +105,14 @@ func (r *Rand) Intn(n int) int {
 	if n&(n-1) == 0 {
 		return int(r.Int63() & int64(n-1))
 	}
-	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
 	v := r.Int63()
-	for v > max {
-		v = r.Int63()
+	// The rejected tail lies above max = 2^63-1 - 2^63%n, and 2^63%n < n,
+	// so only a draw above MaxInt64-n needs max and its division.
+	if v > math.MaxInt64-int64(n) {
+		max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+		for v > max {
+			v = r.Int63()
+		}
 	}
 	return int(v % int64(n))
 }
@@ -121,7 +125,7 @@ func (r *Rand) ExpFloat64() float64 {
 
 // NormFloat64 returns a standard normal float64 via the polar Box-Muller
 // method, caching the pair's second value. Unlike math/rand's ziggurat it
-// needs no tables, keeping the generator 16 bytes and trivially portable.
+// needs no tables, keeping the generator 24 bytes and trivially portable.
 func (r *Rand) NormFloat64() float64 {
 	if r.hasSpare {
 		r.hasSpare = false

@@ -142,6 +142,41 @@ func TestIntnUniform(t *testing.T) {
 	r.Intn(0)
 }
 
+// intnRef is the rejection sampler Intn must equal, written plainly: it
+// computes the threshold, and so divides, on every call.
+func intnRef(r *rng.Rand, n int) int {
+	if n&(n-1) == 0 {
+		return int(r.Int63() & int64(n-1))
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.Int63()
+	for v > max {
+		v = r.Int63()
+	}
+	return int(v % int64(n))
+}
+
+// Intn draws the values intnRef draws and consumes the same Int63 calls,
+// so every golden derived from the stream stays byte-identical. The large
+// bounds hit the rejected tail often (3<<61 rejects one draw in four); the
+// small ones are the corpus generator's.
+func TestIntnMatchesReference(t *testing.T) {
+	bounds := []int{3, 28, 64, 96, 1000, 1<<31 - 1, 3 << 61, 1<<62 + 1, 5 << 60, math.MaxInt64 - 1, math.MaxInt64}
+	for _, n := range bounds {
+		for seed := int64(0); seed < 50; seed++ {
+			got, want := rng.New(seed), rng.New(seed)
+			for i := 0; i < 2000; i++ {
+				if g, w := got.Intn(n), intnRef(want, n); g != w {
+					t.Fatalf("Intn(%d), seed %d, draw %d = %d, want %d", n, seed, i, g, w)
+				}
+			}
+			if *got != *want {
+				t.Fatalf("Intn(%d), seed %d: generator state %+v after 2000 draws, want %+v", n, seed, *got, *want)
+			}
+		}
+	}
+}
+
 // Shuffling the identity yields a permutation of [0, n).
 func TestPermIsPermutation(t *testing.T) {
 	r := rng.New(8)
