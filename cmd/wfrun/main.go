@@ -286,10 +286,7 @@ func execute(out io.Writer, wf *workflow.Workflow, storeDir string, resume, cach
 		RunID:   "run",
 		Resume:  completed,
 	}
-	// MaxConcurrent 1 keeps the journal's line order (not just its
-	// canonical rendering) deterministic for a given blueprint.
-	runner := &workflow.Runner{MaxConcurrent: 1}
-	res, runErr := memo.Run(context.Background(), runner, wf, bodies, fingerprints)
+	res, runErr := memo.Run(context.Background(), wf, bodies, fingerprints)
 	if jerr := journal.Err(); jerr != nil {
 		return jerr
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cas"
 	"repro/internal/experiments"
 )
 
@@ -133,6 +134,91 @@ func TestExecGolden(t *testing.T) {
 	res := capture(false, "-demo", "-store", store2, "-resume", "-cache-stats")
 	if want := readGolden(t, "exec_resume.golden"); res != want {
 		t.Errorf("resumed exec drifted:\n--- got ---\n%s--- want ---\n%s", res, want)
+	}
+}
+
+// TestExecDiamondDeterministic executes a blueprint whose four middle steps
+// are independent of each other (ingest → a, b, c, d → join), each run in a
+// fresh store. Every run must print the same bytes and write the same
+// journal, with the steps in topological order; a fault at b must stop the
+// run at b every time, and a resume must execute exactly the steps the
+// fault left undone.
+func TestExecDiamondDeterministic(t *testing.T) {
+	const runs = 20
+	blueprint := filepath.Join("testdata", "diamond.json")
+	type outcome struct{ stdout, journal string }
+	exec := func(store string, wantErr bool, extra ...string) outcome {
+		t.Helper()
+		var sb strings.Builder
+		args := append([]string{"-blueprint", blueprint, "-store", store}, extra...)
+		if err := run(args, &sb); (err != nil) != wantErr {
+			t.Fatalf("run(%v): err = %v, want error %v", args, err, wantErr)
+		}
+		journal, err := os.ReadFile(filepath.Join(store, "journal.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{sb.String(), string(journal)}
+	}
+	// check asserts each step's printed status and the journal's steps,
+	// in order, with their statuses.
+	check := func(name string, got outcome, status []string, journal []string) {
+		t.Helper()
+		for i, id := range []string{"ingest", "a", "b", "c", "d", "join"} {
+			if line := fmt.Sprintf("\n%-12s %-8s ", id, status[i]); !strings.Contains(got.stdout, line) {
+				t.Errorf("%s: step %s is not %s:\n%s", name, id, status[i], got.stdout)
+			}
+		}
+		entries, err := cas.ReadJournal(strings.NewReader(got.journal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var steps []string
+		for _, e := range entries {
+			steps = append(steps, e.Step+":"+string(e.Status))
+		}
+		if fmt.Sprint(steps) != fmt.Sprint(journal) {
+			t.Errorf("%s: journal steps %v, want %v", name, steps, journal)
+		}
+	}
+	same := func(name string, first, got outcome, i int) {
+		t.Helper()
+		if got != first {
+			t.Fatalf("%s run %d differs from the first run:\n%s%s--- first run ---\n%s%s",
+				name, i, got.stdout, got.journal, first.stdout, first.journal)
+		}
+	}
+
+	var clean, failed, resumed outcome
+	for i := 0; i < runs; i++ {
+		got := exec(filepath.Join(t.TempDir(), "store"), false)
+		if i == 0 {
+			clean = got
+			check("clean", got, []string{"exec", "exec", "exec", "exec", "exec", "exec"},
+				[]string{"ingest:exec", "a:exec", "b:exec", "c:exec", "d:exec", "join:exec"})
+		}
+		same("clean", clean, got, i)
+	}
+	for i := 0; i < runs; i++ {
+		store := filepath.Join(t.TempDir(), "store")
+		got := exec(store, true, "-fail-step", "b")
+		if i == 0 {
+			failed = got
+			check("fail-step b", got, []string{"exec", "exec", "fail", "skip", "skip", "skip"},
+				[]string{"ingest:exec", "a:exec"})
+		}
+		same("fail-step b", failed, got, i)
+
+		got = exec(store, false, "-resume")
+		if i == 0 {
+			resumed = got
+			check("resume", got, []string{"restore", "restore", "exec", "exec", "exec", "exec"},
+				[]string{"ingest:exec", "a:exec", "ingest:restore", "a:restore", "b:exec", "c:exec", "d:exec", "join:exec"})
+			if !strings.Contains(got.stdout, "| executed 4 | cached 0 | restored 2 | skipped 0") {
+				t.Errorf("resume did not execute exactly b, c, d and join:\n%s", got.stdout)
+			}
+		}
+		same("resume", resumed, got, i)
 	}
 }
 

@@ -3,13 +3,11 @@ package cas
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -275,9 +273,8 @@ func TestMemoColdThenWarm(t *testing.T) {
 			bodies := countingBodies(&executed)
 			fp := uniform(wf, "v1")
 			m := &Memo{Store: st, Clock: clock.NewSim(1)}
-			r := &workflow.Runner{}
 
-			cold, err := m.Run(context.Background(), r, wf, bodies, fp)
+			cold, err := m.Run(context.Background(), wf, bodies, fp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +282,7 @@ func TestMemoColdThenWarm(t *testing.T) {
 				t.Fatalf("cold: executed=%d stats=%+v", executed.Load(), cold.Stats)
 			}
 
-			warm, err := m.Run(context.Background(), r, wf, bodies, fp)
+			warm, err := m.Run(context.Background(), wf, bodies, fp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,9 +306,9 @@ func TestMemoColdThenWarm(t *testing.T) {
 }
 
 // TestStepKeyStability: identical workflow + inputs yield identical keys
-// across runs and worker counts; any dep-result change flips the key.
+// across runs; any dep-result change flips the key.
 func TestStepKeyStability(t *testing.T) {
-	keysFor := func(maxConcurrent int, fp string, mutate bool) map[string]Key {
+	keysFor := func(fp string, mutate bool) map[string]Key {
 		st := NewMemStore()
 		var executed atomic.Int64
 		wf := diamond()
@@ -322,8 +319,7 @@ func TestStepKeyStability(t *testing.T) {
 			}
 		}
 		m := &Memo{Store: st, Clock: clock.NewSim(1)}
-		r := &workflow.Runner{MaxConcurrent: maxConcurrent}
-		out, err := m.Run(context.Background(), r, wf, bodies, uniform(wf, fp))
+		out, err := m.Run(context.Background(), wf, bodies, uniform(wf, fp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,16 +336,13 @@ func TestStepKeyStability(t *testing.T) {
 		return memo
 	}
 
-	base := keysFor(1, "v1", false)
-	for _, workers := range []int{1, 2, 8, 0} { // 0 = unbounded
-		again := keysFor(workers, "v1", false)
-		if !reflect.DeepEqual(base, again) {
-			t.Fatalf("keys differ at MaxConcurrent=%d:\n%v\nvs\n%v", workers, base, again)
-		}
+	base := keysFor("v1", false)
+	if again := keysFor("v1", false); !reflect.DeepEqual(base, again) {
+		t.Fatalf("keys differ across runs:\n%v\nvs\n%v", base, again)
 	}
 
 	// A changed dependency result must flip every downstream key.
-	changed := keysFor(1, "v1", true)
+	changed := keysFor("v1", true)
 	for _, id := range []string{"a", "b", "c", "d"} {
 		if changed[id] == base[id] {
 			t.Errorf("step %s: key unchanged after upstream result change", id)
@@ -360,7 +353,7 @@ func TestStepKeyStability(t *testing.T) {
 	}
 
 	// A changed body fingerprint must flip keys even with identical results.
-	refp := keysFor(1, "v2", false)
+	refp := keysFor("v2", false)
 	if refp["__links__"] == base["__links__"] {
 		t.Error("memo link set unchanged after fingerprint change")
 	}
@@ -390,8 +383,7 @@ func TestStepKeyNoConcatenationCollision(t *testing.T) {
 	}
 }
 
-// chain builds the linear workflow a → b → c → d, whose completion order
-// is forced by the dependencies — deterministic even under concurrency.
+// chain builds the linear workflow a → b → c → d.
 func chain() *workflow.Workflow {
 	wf := workflow.New("chain")
 	wf.MustAdd(workflow.Step{ID: "a"})
@@ -425,9 +417,8 @@ func TestFaultResume(t *testing.T) {
 	}
 	j := NewJournal(jf)
 	m := &Memo{Store: st, Clock: clock.NewSim(1), Journal: j, RunID: "r1"}
-	// The chain forces a and b to complete before c faults; d is poisoned.
-	r := &workflow.Runner{MaxConcurrent: 1}
-	out, err := m.Run(context.Background(), r, wf, bodies, uniform(wf, "v1"))
+	// The chain forces a and b to complete before c faults; d is skipped.
+	out, err := m.Run(context.Background(), wf, bodies, uniform(wf, "v1"))
 	if err == nil {
 		t.Fatal("fault did not surface")
 	}
@@ -468,7 +459,7 @@ func TestFaultResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := &Memo{Store: st2, Clock: clock.NewSim(1), Resume: completed, RunID: "r2"}
-	out2, err := m2.Run(context.Background(), r, wf, bodies, uniform(wf, "v1"))
+	out2, err := m2.Run(context.Background(), wf, bodies, uniform(wf, "v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,28 +485,10 @@ func TestJournalDeterministicUnderSim(t *testing.T) {
 		wf := diamond()
 		var buf bytes.Buffer
 		m := &Memo{Store: st, Clock: clock.NewSim(7), Journal: NewJournal(&buf), RunID: "r"}
-		r := &workflow.Runner{} // concurrent runner
-		if _, err := m.Run(context.Background(), r, wf, countingBodies(&executed), nil); err != nil {
+		if _, err := m.Run(context.Background(), wf, countingBodies(&executed), nil); err != nil {
 			t.Fatal(err)
 		}
-		entries, err := ReadJournal(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Sorted by step, the journal is independent of completion
-		// interleaving, but Seq is not — mask it like a reader diffing
-		// runs would.
-		sort.Slice(entries, func(a, b int) bool { return entries[a].Step < entries[b].Step })
-		var sb strings.Builder
-		for _, e := range entries {
-			e.Seq = 0
-			data, err := json.Marshal(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb.Write(append(data, '\n'))
-		}
-		return sb.String()
+		return buf.String()
 	}
 	first := render()
 	for i := 0; i < 5; i++ {
@@ -639,11 +612,11 @@ func TestJournalConcurrentAppendFailingWriter(t *testing.T) {
 func TestMemoMissingBody(t *testing.T) {
 	wf := diamond()
 	m := &Memo{Store: NewMemStore()}
-	if _, err := m.Run(context.Background(), &workflow.Runner{}, wf, nil, nil); err == nil {
+	if _, err := m.Run(context.Background(), wf, nil, nil); err == nil {
 		t.Fatal("missing bodies accepted")
 	}
 	m2 := &Memo{}
-	if _, err := m2.Run(context.Background(), &workflow.Runner{}, wf, nil, nil); !errors.Is(err, ErrNoStore) {
+	if _, err := m2.Run(context.Background(), wf, nil, nil); !errors.Is(err, ErrNoStore) {
 		t.Fatalf("want ErrNoStore, got %v", err)
 	}
 }

@@ -7,9 +7,10 @@ package cas
 // the store; feeding it back through Completed → Memo.Resume makes the
 // second run replay only the steps that had not completed.
 //
-// Timestamps are read from the Memo's injected clock (clock.Seconds), so a
-// run on clock.Sim writes a byte-identical journal on every execution —
-// with a sequential runner the line order is deterministic too.
+// Timestamps are read from the Memo's injected clock (clock.Seconds), and
+// workflow.Run calls the steps one at a time in topological order, so a run
+// on clock.Sim writes a byte-identical journal on every execution: the same
+// lines, in the same order, with the same Seq.
 
 import (
 	"bufio"
@@ -48,10 +49,10 @@ type Journal struct {
 // numbered and dropped).
 func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
 
-// Append records an entry, assigning its sequence number. Once a write has
-// failed the underlying stream is suspect (a short write may have torn its
-// last line), so no further bytes are sent to it and the first error stays
-// pinned for Err.
+// Append records an entry, assigning its sequence number. It is safe for
+// concurrent use. Once a write has failed the underlying stream is suspect
+// (a short write may have torn its last line), so no further bytes are sent
+// to it and the first error stays pinned for Err.
 func (j *Journal) Append(e Entry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

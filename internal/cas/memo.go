@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/clock"
 	"repro/internal/workflow"
@@ -67,7 +66,8 @@ const (
 	StatusRestored StepStatus = "restore"
 	// StatusFailed: the body ran and returned an error.
 	StatusFailed StepStatus = "fail"
-	// StatusSkipped: never ran because a dependency failed.
+	// StatusSkipped: never ran because an earlier step failed or the run
+	// was cancelled.
 	StatusSkipped StepStatus = "skip"
 )
 
@@ -78,14 +78,14 @@ type RunStats struct {
 	Executed     int   // bodies that ran to completion
 	Restored     int   // steps satisfied from the checkpoint journal
 	Failed       int   // bodies that ran and errored
-	Skipped      int   // steps skipped due to failed dependencies
+	Skipped      int   // steps skipped after an earlier failure
 	BytesWritten int64 // artifact bytes newly stored
 	BytesReused  int64 // artifact bytes served from the store
 }
 
 // RunResult is the outcome of Memo.Run.
 type RunResult struct {
-	// Results mirrors workflow.Runner.Run: per-step results keyed by ID.
+	// Results mirrors workflow.Run: per-step results keyed by ID.
 	// Values of hit/restored steps are the Decode'd canonical form.
 	Results map[string]workflow.Result
 	// Keys maps every completed step to its artifact key.
@@ -126,20 +126,21 @@ func (m *Memo) runID() string {
 	return m.RunID
 }
 
-// Run executes wf through r with memoization: each step's memo key is
-// derived from (workflow name, step ID, fingerprints[step], dep artifact
-// keys); a key already linked in the store satisfies the step without
-// executing its body. fingerprints may be nil (all bodies fingerprint "").
+// Run executes wf through workflow.Run with memoization: each step's memo
+// key is derived from (workflow name, step ID, fingerprints[step], dep
+// artifact keys); a key already linked in the store satisfies the step
+// without executing its body. fingerprints may be nil (all bodies
+// fingerprint "").
 //
 // Step values must round-trip through Encode/Decode (JSON): on a hit the
 // dependents observe the decoded canonical form, so bodies should treat
 // dep values as JSON-shaped data (strings stay strings either way).
 //
-// The returned error mirrors workflow.Runner.Run; on a mid-run failure the
+// The returned error mirrors workflow.Run; on a mid-run failure the
 // store and journal retain every step that completed, so a subsequent Run
 // (optionally with Resume set from the journal) re-executes only the steps
 // that had not completed.
-func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflow, bodies map[string]workflow.StepFunc, fingerprints map[string]string) (*RunResult, error) {
+func (m *Memo) Run(ctx context.Context, wf *workflow.Workflow, bodies map[string]workflow.StepFunc, fingerprints map[string]string) (*RunResult, error) {
 	if m.Store == nil {
 		return nil, ErrNoStore
 	}
@@ -152,8 +153,6 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 		Keys:   map[string]Key{},
 		Status: map[string]StepStatus{},
 	}
-	var mu sync.Mutex // guards out.Keys / out.Status / out.Stats
-
 	wrapped := map[string]workflow.StepFunc{}
 	for _, s := range wf.Steps() {
 		body := bodies[s.ID]
@@ -164,15 +163,13 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 		fp := fingerprints[stepID]
 		depIDs := append([]string(nil), s.After...)
 		wrapped[stepID] = func(ctx context.Context, deps map[string]any) (any, error) {
-			// Dependency artifact keys are available because the runner
-			// only launches a step after all its dependencies completed.
-			mu.Lock()
+			// Dependency artifact keys are available because workflow.Run
+			// calls a step only after all its dependencies completed.
 			depKeys := make(map[string]Key, len(depIDs))
 			for _, dep := range depIDs {
 				depKeys[dep] = out.Keys[dep]
 			}
 			resumeKey, resuming := m.Resume[stepID]
-			mu.Unlock()
 
 			// Checkpoint resume: the journal of the faulted run already
 			// names this step's artifact.
@@ -186,12 +183,10 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 					if err != nil {
 						return nil, err
 					}
-					mu.Lock()
 					out.Stats.Restored++
 					out.Stats.BytesReused += int64(len(data))
 					out.Status[stepID] = StatusRestored
 					out.Keys[stepID] = resumeKey
-					mu.Unlock()
 					m.journalAppend(c, wf.Name, stepID, resumeKey, StatusRestored)
 					return v, nil
 				}
@@ -214,12 +209,10 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 					if err != nil {
 						return nil, err
 					}
-					mu.Lock()
 					out.Stats.Hits++
 					out.Stats.BytesReused += int64(len(data))
 					out.Status[stepID] = StatusHit
 					out.Keys[stepID] = target
-					mu.Unlock()
 					m.journalAppend(c, wf.Name, stepID, target, StatusHit)
 					return v, nil
 				}
@@ -228,11 +221,9 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 			// Miss: execute the body, store the artifact, link the key.
 			v, err := body(ctx, deps)
 			if err != nil {
-				mu.Lock()
 				out.Stats.Misses++
 				out.Stats.Failed++
 				out.Status[stepID] = StatusFailed
-				mu.Unlock()
 				return nil, err
 			}
 			data, err := Encode(v)
@@ -246,19 +237,17 @@ func (m *Memo) Run(ctx context.Context, r *workflow.Runner, wf *workflow.Workflo
 			if err != nil {
 				return nil, err
 			}
-			mu.Lock()
 			out.Stats.Misses++
 			out.Stats.Executed++
 			out.Stats.BytesWritten += int64(len(data))
 			out.Status[stepID] = StatusExecuted
 			out.Keys[stepID] = artifact
-			mu.Unlock()
 			m.journalAppend(c, wf.Name, stepID, artifact, StatusExecuted)
 			return v, nil
 		}
 	}
 
-	results, runErr := r.Run(ctx, wf, wrapped)
+	results, runErr := workflow.Run(ctx, wf, wrapped)
 	out.Results = results
 	for _, s := range wf.Steps() {
 		if _, ok := out.Status[s.ID]; !ok {

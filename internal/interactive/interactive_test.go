@@ -143,8 +143,7 @@ func TestCompiledNotebookIsRunnable(t *testing.T) {
 	for _, s := range wf.Steps() {
 		bodies[s.ID] = func(context.Context, map[string]any) (any, error) { return nil, nil }
 	}
-	var r workflow.Runner
-	if _, err := r.Run(context.Background(), wf, bodies); err != nil {
+	if _, err := workflow.Run(context.Background(), wf, bodies); err != nil {
 		t.Errorf("compiled notebook does not run: %v", err)
 	}
 }

@@ -332,7 +332,6 @@ func (HEFT) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Placeme
 		s, _ := wf.Step(id)
 		bestFinish := math.Inf(1)
 		var best *continuum.Node
-		var bestStart float64
 		for _, n := range candidates(s, inf) {
 			exec, err := n.ExecSeconds(s.WorkGFlop, min(s.Cores, n.Cores))
 			if err != nil {
@@ -354,7 +353,7 @@ func (HEFT) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Placeme
 			start := math.Max(ready, avail[n.ID])
 			f := start + exec
 			if f < bestFinish || (f == bestFinish && best != nil && n.ID < best.ID) {
-				bestFinish, best, bestStart = f, n, start
+				bestFinish, best = f, n
 			}
 		}
 		if best == nil {
@@ -363,7 +362,6 @@ func (HEFT) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Placeme
 		p[id] = best.ID
 		avail[best.ID] = bestFinish
 		finish[id] = bestFinish
-		_ = bestStart
 	}
 	return p, nil
 }
@@ -371,11 +369,4 @@ func (HEFT) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Placeme
 // Policies returns the built-in policies in a stable order.
 func Policies(r *rng.Rand) []Policy {
 	return []Policy{Random{Rng: r}, RoundRobin{}, DataLocal{}, CostAware{}, EnergyAware{}, HEFT{}}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1063,8 +1063,7 @@ func (op MLIRPassWorkflow) Apply(ctx context.Context, env *exp.Env, st *State) e
 		}
 		prev = id
 	}
-	var r workflow.Runner
-	if _, err := r.Run(ctx, wf, bodies); err != nil {
+	if _, err := workflow.Run(ctx, wf, bodies); err != nil {
 		return err
 	}
 	return m.Validate()

@@ -36,7 +36,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/clock"
 	"repro/internal/exp"
-	"repro/internal/par"
 	"repro/internal/runpack"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -58,9 +57,6 @@ type Config struct {
 	// Clock is the server time source (nil = clock.System). Inject a
 	// *clock.Sim to make the daemon deterministic.
 	Clock clock.Clock
-	// Metrics receives the per-endpoint telemetry (nil = fresh registry on
-	// the server clock).
-	Metrics *telemetry.Registry
 	// Store memoizes experiment results and backs artifact serving
 	// (nil = fresh in-memory store).
 	Store cas.Store
@@ -71,8 +67,6 @@ type Config struct {
 	// QueueDepth bounds the admission queue (default 64). A submission
 	// arriving at a full queue is rejected with 429, never blocked on.
 	QueueDepth int
-	// Par configures the worker pool inside experiment bodies.
-	Par []par.Option
 	// PackKey signs the runpack sealed for every completed job (served by
 	// GET /experiments/{id}/runpack). The zero value derives a deterministic
 	// ed25519 key from Seed — fine for simulation and tests, where the point
@@ -155,10 +149,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.QueueDepth = 64
 	}
 	clk := clock.Or(cfg.Clock)
-	met := cfg.Metrics
-	if met == nil {
-		met = telemetry.NewWithClock(clk)
-	}
+	met := telemetry.NewWithClock(clk)
 	store := cfg.Store
 	if store == nil {
 		store = cas.NewMemStore()
@@ -298,7 +289,6 @@ func (s *Server) runJob(j *job) {
 		Clock:   clock.NewSim(j.seed),
 		Seed:    j.seed,
 		Metrics: s.met,
-		Par:     s.cfg.Par,
 		Store:   s.store,
 	}
 	res, err := s.cfg.Registry.Run(context.Background(), env, j.name)

@@ -6,21 +6,18 @@ import (
 )
 
 // This file implements WindFlow-style windowed operators: keyed partitioning
-// and count-based windows over event streams. Windows carry their key and
-// bounds so downstream aggregations can label results.
+// and count-based windows over event streams. Windows carry their key so
+// downstream aggregations can label results.
 
-// Event is a timestamped, keyed record — the unit of windowed processing.
+// Event is a keyed record — the unit of windowed processing.
 type Event[T any] struct {
-	Key  string
-	Time float64 // event time, seconds
-	Val  T
+	Key string
+	Val T
 }
 
 // Window is a completed window of events for one key.
 type Window[T any] struct {
 	Key   string
-	Start float64 // inclusive; for count windows, index of first event
-	End   float64 // exclusive
 	Items []T
 }
 
@@ -35,11 +32,9 @@ func TumblingCount[T any](s *Stream[Event[T]], n int) *Stream[Window[T]] {
 			return
 		}
 		buf := map[string][]T{}
-		count := map[string]int{} // total items seen per key
-		emit := func(key string, items []T, firstIdx int) bool {
-			w := Window[T]{Key: key, Start: float64(firstIdx), End: float64(firstIdx + len(items)), Items: items}
+		emit := func(key string, items []T) bool {
 			select {
-			case out <- w:
+			case out <- Window[T]{Key: key, Items: items}:
 				return true
 			case <-s.ctx.Done():
 				return false
@@ -47,11 +42,10 @@ func TumblingCount[T any](s *Stream[Event[T]], n int) *Stream[Window[T]] {
 		}
 		for ev := range s.ch {
 			buf[ev.Key] = append(buf[ev.Key], ev.Val)
-			count[ev.Key]++
 			if len(buf[ev.Key]) == n {
 				items := buf[ev.Key]
 				buf[ev.Key] = nil
-				if !emit(ev.Key, items, count[ev.Key]-n) {
+				if !emit(ev.Key, items) {
 					return
 				}
 			}
@@ -65,7 +59,7 @@ func TumblingCount[T any](s *Stream[Event[T]], n int) *Stream[Window[T]] {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			if !emit(k, buf[k], count[k]-len(buf[k])) {
+			if !emit(k, buf[k]) {
 				return
 			}
 		}
@@ -79,17 +73,14 @@ func AggregateWindows[T, R any](s *Stream[Window[T]], agg func(Window[T]) R, opt
 	return Map(s, agg, opts...)
 }
 
-// KeyBy partitions a plain stream into events keyed by keyFn with a
-// synthetic arrival index as event time.
+// KeyBy partitions a plain stream into events keyed by keyFn.
 func KeyBy[T any](ctx context.Context, s *Stream[T], keyFn func(T) string) *Stream[Event[T]] {
 	out := make(chan Event[T], defaultBuffer)
 	go func() {
 		defer close(out)
-		i := 0
 		for v := range s.ch {
 			select {
-			case out <- Event[T]{Key: keyFn(v), Time: float64(i), Val: v}:
-				i++
+			case out <- Event[T]{Key: keyFn(v), Val: v}:
 			case <-ctx.Done():
 				return
 			}

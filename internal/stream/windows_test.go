@@ -25,7 +25,7 @@ func events(keyed map[string][]int) []Event[int] {
 		emitted := false
 		for _, k := range keys {
 			if i < len(keyed[k]) {
-				out = append(out, Event[int]{Key: k, Time: float64(len(out)), Val: keyed[k][i]})
+				out = append(out, Event[int]{Key: k, Val: keyed[k][i]})
 				emitted = true
 			}
 		}
@@ -76,9 +76,9 @@ func TestTumblingCountConservation(t *testing.T) {
 		n := int(nRaw%5) + 1
 		ctx := context.Background()
 		var evs []Event[int]
-		for i, v := range raw {
+		for _, v := range raw {
 			key := string(rune('a' + int(v)%3))
-			evs = append(evs, Event[int]{Key: key, Time: float64(i), Val: int(v)})
+			evs = append(evs, Event[int]{Key: key, Val: int(v)})
 		}
 		wins, err := TumblingCount(FromSlice(ctx, evs), n).Collect()
 		if err != nil {
@@ -152,8 +152,8 @@ func TestKeyBy(t *testing.T) {
 		t.Fatalf("events = %d", len(evs))
 	}
 	for i, ev := range evs {
-		if ev.Time != float64(i) {
-			t.Errorf("event %d time = %v", i, ev.Time)
+		if ev.Val != i+1 {
+			t.Errorf("event %d value = %d, want %d", i, ev.Val, i+1)
 		}
 	}
 	if evs[0].Key != "odd" || evs[1].Key != "even" {

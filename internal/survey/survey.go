@@ -27,7 +27,6 @@ const Question = "Which of the collected tools do you deem valuable to improve "
 type Response struct {
 	ApplicationID string
 	Tools         []string
-	Rationale     map[string]string // optional per-tool justification
 }
 
 // Respondent produces a Response for an application given the tool catalog.

@@ -33,8 +33,8 @@ func BenchmarkTopoOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkRunnerConcurrent measures the goroutine executor on a wide DAG.
-func BenchmarkRunnerConcurrent(b *testing.B) {
+// BenchmarkRun measures the executor on a wide DAG.
+func BenchmarkRun(b *testing.B) {
 	w := New("wide")
 	bodies := map[string]StepFunc{}
 	var ids []string
@@ -46,10 +46,9 @@ func BenchmarkRunnerConcurrent(b *testing.B) {
 	}
 	w.MustAdd(Step{ID: "join", After: ids})
 	bodies["join"] = func(ctx context.Context, deps map[string]any) (any, error) { return len(deps), nil }
-	var r Runner
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(context.Background(), w, bodies); err != nil {
+		if _, err := Run(context.Background(), w, bodies); err != nil {
 			b.Fatal(err)
 		}
 	}

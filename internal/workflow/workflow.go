@@ -5,10 +5,10 @@
 //
 // The package provides the graph model with validation (cycle detection,
 // dangling dependencies), structural analyses used by orchestrators
-// (topological order, level decomposition), and a concurrent
-// in-process executor (runner.go) that runs independent steps in parallel on
-// goroutines — the execution model that tools like StreamFlow and Jupyter
-// Workflow map onto distributed resources.
+// (topological order, level decomposition), and an in-process executor
+// (runner.go) that runs the steps one at a time in topological order. Step
+// concurrency, where results depend on it, is modelled by the event
+// simulation in internal/orchestrator.
 package workflow
 
 import (
