@@ -154,7 +154,7 @@ BENCH_LEGS = \
 	'cas:ReportBuild(Cold|Warm)$$:./internal/report:3:0.10' \
 	'runpack:Runpack(Pack|Verify|VerifyEd25519)$$:./internal/runpack:5:0.25' \
 	'corpus:(ClassifyKernel(Baseline)?|ClassifyDescription|CorpusGen|CorpusShard|CorpusClassify(Sharded|Warm))$$:./internal/core ./internal/corpus:5:0.25' \
-	'scen:Scen(GenConfigs|FamilyCold|FamilyWarm)$$:./internal/scengen:5:0.25' \
+	'scen:Scen(GenConfigs|FamilyCold|FamilyWarm|SurveyCold)$$:./internal/scengen:5:0.25' \
 	'events:(EngineMillionEvents|EnginePushPop|FaultSweepLarge(Seq)?)$$:./internal/continuum ./internal/orchestrator:5:0.25'
 
 # In a loop over BENCH_LEGS: split the shell's $row into $1..$5 (name,

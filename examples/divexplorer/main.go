@@ -8,11 +8,14 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
-	"repro/internal/rng"
+	"slices"
+	"strings"
 
 	"repro/internal/divexplorer"
+	"repro/internal/rng"
 )
 
 func main() {
@@ -60,8 +63,15 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nShapley attribution for %q:\n", top[0].Key())
-		for it, v := range phi {
-			fmt.Printf("  %-24s %+6.1f%%\n", it, v*100)
+		items := make([]divexplorer.Item, 0, len(phi))
+		for it := range phi {
+			items = append(items, it)
+		}
+		slices.SortFunc(items, func(a, b divexplorer.Item) int {
+			return cmp.Or(strings.Compare(a.Attr, b.Attr), strings.Compare(a.Value, b.Value))
+		})
+		for _, it := range items {
+			fmt.Printf("  %-24s %+6.1f%%\n", it, phi[it]*100)
 		}
 	}
 

@@ -186,10 +186,11 @@ func TestWorldDynamicsWithSensorsAndAutoML(t *testing.T) {
 func TestCompressionApplicationEndToEnd(t *testing.T) {
 	// The study data drives the scenario selection.
 	c := catalog.Default()
-	app, err := c.Application("3.1")
+	i, err := c.ApplicationIndex("3.1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	app := c.Applications[i]
 	if len(app.SelectedTools) != 3 {
 		t.Fatalf("app 3.1 selections = %v", app.SelectedTools)
 	}

@@ -103,7 +103,7 @@ type Application struct {
 	// integration — the checkmarks of the paper's Table 2.
 	SelectedTools []string `json:"selected_tools"`
 	// Needs are coarse requirement tags. No code reads them, but they stay:
-	// their JSON is part of the catalog bytes report.StudyFingerprint hashes,
+	// their JSON is part of the catalog bytes core.Study.Fingerprint hashes,
 	// so dropping them would re-key every report section
 	// (TestSectionKeysPinned) and turn existing -cache directories cold.
 	Needs []string `json:"needs,omitempty"`
@@ -134,22 +134,32 @@ type Catalog struct {
 
 // Tool returns the tool with the given name (case-sensitive), or an error.
 func (c *Catalog) Tool(name string) (*Tool, error) {
-	for i := range c.Tools {
-		if c.Tools[i].Name == name {
-			return &c.Tools[i], nil
-		}
+	i, err := c.ToolIndex(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("catalog: unknown tool %q", name)
+	return &c.Tools[i], nil
 }
 
-// Application returns the application with the given ID, or an error.
-func (c *Catalog) Application(id string) (*Application, error) {
-	for i := range c.Applications {
-		if c.Applications[i].ID == id {
-			return &c.Applications[i], nil
+// ToolIndex returns the position in Tools of the named tool, or an error.
+func (c *Catalog) ToolIndex(name string) (int, error) {
+	for i := range c.Tools {
+		if c.Tools[i].Name == name {
+			return i, nil
 		}
 	}
-	return nil, fmt.Errorf("catalog: unknown application %q", id)
+	return -1, fmt.Errorf("catalog: unknown tool %q", name)
+}
+
+// ApplicationIndex returns the position in Applications of the application
+// with the given ID, or an error.
+func (c *Catalog) ApplicationIndex(id string) (int, error) {
+	for i := range c.Applications {
+		if c.Applications[i].ID == id {
+			return i, nil
+		}
+	}
+	return -1, fmt.Errorf("catalog: unknown application %q", id)
 }
 
 // ToolsByDirection returns the tools whose primary direction is d, in catalog

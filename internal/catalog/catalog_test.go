@@ -67,10 +67,11 @@ func TestTable2Selections(t *testing.T) {
 		"3.10": {"StreamFlow", "MLIR"},
 	}
 	for id, tools := range want {
-		app, err := c.Application(id)
+		i, err := c.ApplicationIndex(id)
 		if err != nil {
 			t.Fatalf("application %s: %v", id, err)
 		}
+		app := c.Applications[i]
 		if len(app.SelectedTools) != len(tools) {
 			t.Errorf("app %s selections = %v, want %v", id, app.SelectedTools, tools)
 			continue
@@ -151,10 +152,10 @@ func TestLookups(t *testing.T) {
 	if _, err := c.Tool("nope"); err == nil {
 		t.Error("unknown tool should error")
 	}
-	if _, err := c.Application("3.5"); err != nil {
-		t.Error(err)
+	if i, err := c.ApplicationIndex("3.5"); err != nil || c.Applications[i].ID != "3.5" {
+		t.Error(i, err)
 	}
-	if _, err := c.Application("9.9"); err == nil {
+	if _, err := c.ApplicationIndex("9.9"); err == nil {
 		t.Error("unknown application should error")
 	}
 }

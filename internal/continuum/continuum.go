@@ -19,6 +19,7 @@ package continuum
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -119,22 +120,37 @@ func (l Link) TransferSeconds(size float64) float64 {
 // Topology holds region-pair links. Lookups fall back from the region pair
 // to a default. Same-node transfers are free.
 type Topology struct {
-	regionLinks map[[2]string]Link
+	// regionLinks holds one entry per ordered region pair. A continuum has
+	// a handful of regions, so a scan beats hashing two strings, and a
+	// copy is one allocation.
+	regionLinks []regionLink
 	defaultLink Link
+}
+
+type regionLink struct {
+	from, to string
+	link     Link
 }
 
 // NewTopology returns a topology with the given default link.
 func NewTopology(def Link) *Topology {
-	return &Topology{
-		regionLinks: map[[2]string]Link{},
-		defaultLink: def,
-	}
+	return &Topology{defaultLink: def}
 }
 
 // SetRegionLink sets the link between two regions (both directions).
 func (t *Topology) SetRegionLink(a, b string, l Link) {
-	t.regionLinks[[2]string{a, b}] = l
-	t.regionLinks[[2]string{b, a}] = l
+	t.set(a, b, l)
+	t.set(b, a, l)
+}
+
+func (t *Topology) set(from, to string, l Link) {
+	for i := range t.regionLinks {
+		if t.regionLinks[i].from == from && t.regionLinks[i].to == to {
+			t.regionLinks[i].link = l
+			return
+		}
+	}
+	t.regionLinks = append(t.regionLinks, regionLink{from, to, l})
 }
 
 // LinkBetween resolves the link from node a to node b.
@@ -142,8 +158,10 @@ func (t *Topology) LinkBetween(a, b *Node) Link {
 	if a.ID == b.ID {
 		return Link{} // zero latency, infinite-bandwidth treated as free
 	}
-	if l, ok := t.regionLinks[[2]string{a.Region, b.Region}]; ok {
-		return l
+	for _, rl := range t.regionLinks {
+		if rl.from == a.Region && rl.to == b.Region {
+			return rl.link
+		}
 	}
 	return t.defaultLink
 }
@@ -158,8 +176,9 @@ func (t *Topology) TransferSeconds(a, b *Node, size float64) float64 {
 
 // Infrastructure is a named set of nodes plus a topology.
 type Infrastructure struct {
-	nodes    map[string]*Node
-	order    []string
+	// nodes in insertion order. Lookups scan it: the presets hold ten nodes
+	// or fewer, so a scan beats hashing, and a copy is one allocation.
+	nodes    []*Node
 	Topology *Topology
 }
 
@@ -167,7 +186,6 @@ type Infrastructure struct {
 // (50 ms latency, 100 MB/s) so tests can start simple.
 func NewInfrastructure() *Infrastructure {
 	return &Infrastructure{
-		nodes:    map[string]*Node{},
 		Topology: NewTopology(Link{LatencyS: 0.05, BandwidthBps: 100e6}),
 	}
 }
@@ -178,36 +196,52 @@ func (inf *Infrastructure) AddNode(n *Node) error {
 	if err := n.Validate(); err != nil {
 		return err
 	}
-	if _, dup := inf.nodes[n.ID]; dup {
+	if _, err := inf.Node(n.ID); err == nil {
 		return fmt.Errorf("continuum: duplicate node %q", n.ID)
 	}
-	inf.nodes[n.ID] = n
-	inf.order = append(inf.order, n.ID)
+	inf.nodes = append(inf.nodes, n)
 	return nil
+}
+
+// clone returns a deep copy: fresh nodes with the same reservations, and a
+// topology of its own.
+func (inf *Infrastructure) clone() *Infrastructure {
+	nodes := make([]Node, len(inf.nodes))
+	out := &Infrastructure{
+		nodes: make([]*Node, len(inf.nodes)),
+		Topology: &Topology{
+			regionLinks: slices.Clone(inf.Topology.regionLinks),
+			defaultLink: inf.Topology.defaultLink,
+		},
+	}
+	for i, n := range inf.nodes {
+		nodes[i] = *n
+		out.nodes[i] = &nodes[i]
+	}
+	return out
 }
 
 // Node returns a node by ID.
 func (inf *Infrastructure) Node(id string) (*Node, error) {
-	n, ok := inf.nodes[id]
-	if !ok {
-		return nil, fmt.Errorf("continuum: unknown node %q", id)
+	for _, n := range inf.nodes {
+		if n.ID == id {
+			return n, nil
+		}
 	}
-	return n, nil
+	return nil, fmt.Errorf("continuum: unknown node %q", id)
 }
 
-// Nodes returns all nodes in insertion order.
+// Nodes returns all nodes in insertion order. The slice is the
+// infrastructure's own, so it costs no allocation: callers must not modify
+// it (an append copies).
 func (inf *Infrastructure) Nodes() []*Node {
-	out := make([]*Node, 0, len(inf.order))
-	for _, id := range inf.order {
-		out = append(out, inf.nodes[id])
-	}
-	return out
+	return inf.nodes[:len(inf.nodes):len(inf.nodes)]
 }
 
 // NodesByKind returns the nodes of one tier, in insertion order.
 func (inf *Infrastructure) NodesByKind(k Kind) []*Node {
 	var out []*Node
-	for _, n := range inf.Nodes() {
+	for _, n := range inf.nodes {
 		if n.Kind == k {
 			out = append(out, n)
 		}
@@ -248,7 +282,7 @@ func (inf *Infrastructure) Release(id string, cores int) error {
 // TotalCores returns the aggregate core count.
 func (inf *Infrastructure) TotalCores() int {
 	t := 0
-	for _, n := range inf.Nodes() {
+	for _, n := range inf.nodes {
 		t += n.Cores
 	}
 	return t
@@ -257,13 +291,17 @@ func (inf *Infrastructure) TotalCores() int {
 // SortedByFreeCores returns node IDs ordered by free cores descending
 // (ties by ID, for determinism).
 func (inf *Infrastructure) SortedByFreeCores() []string {
-	ids := append([]string(nil), inf.order...)
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := inf.nodes[ids[i]], inf.nodes[ids[j]]
+	nodes := slices.Clone(inf.nodes)
+	sort.Slice(nodes, func(i, j int) bool {
+		a, b := nodes[i], nodes[j]
 		if a.FreeCores() != b.FreeCores() {
 			return a.FreeCores() > b.FreeCores()
 		}
-		return ids[i] < ids[j]
+		return a.ID < b.ID
 	})
+	ids := make([]string, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
 	return ids
 }

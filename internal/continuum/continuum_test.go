@@ -195,7 +195,7 @@ func TestSortedByFreeCores(t *testing.T) {
 		t.Errorf("first = %s, want hpc-1", ids[0])
 	}
 	last := ids[len(ids)-1]
-	if last != "hpc-0" && inf.nodes[last].FreeCores() > 0 {
-		t.Errorf("last = %s with %d free", last, inf.nodes[last].FreeCores())
+	if n, _ := inf.Node(last); last != "hpc-0" && n.FreeCores() > 0 {
+		t.Errorf("last = %s with %d free", last, n.FreeCores())
 	}
 }

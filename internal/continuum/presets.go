@@ -5,6 +5,16 @@ package continuum
 // discusses: a Leonardo-class HPC partition, commercial cloud regions, and
 // constrained edge gateways. Only relative magnitudes matter for the
 // reproduced experiments.
+//
+// Each preset is built once per process; every call returns a deep copy,
+// because callers reserve and release cores on their infrastructure.
+
+import "sync"
+
+var (
+	testbed          = sync.OnceValue(buildTestbed)
+	edgeCloudTestbed = sync.OnceValue(buildEdgeCloudTestbed)
+)
 
 // Testbed returns a three-tier continuum:
 //
@@ -13,7 +23,9 @@ package continuum
 //   - 5 Edge nodes  (4 cores, slow, very low power, close to the data)
 //
 // plus a topology with realistic tier-to-tier latencies and bandwidths.
-func Testbed() *Infrastructure {
+func Testbed() *Infrastructure { return testbed().clone() }
+
+func buildTestbed() *Infrastructure {
 	inf := NewInfrastructure()
 	add := func(n *Node) {
 		if err := inf.AddNode(n); err != nil {
@@ -55,7 +67,9 @@ func Testbed() *Infrastructure {
 
 // EdgeCloudTestbed returns a two-tier infrastructure (no HPC) used by the
 // FaaS experiments: 4 edge nodes near users and 2 cloud nodes behind a WAN.
-func EdgeCloudTestbed() *Infrastructure {
+func EdgeCloudTestbed() *Infrastructure { return edgeCloudTestbed().clone() }
+
+func buildEdgeCloudTestbed() *Infrastructure {
 	inf := NewInfrastructure()
 	add := func(n *Node) {
 		if err := inf.AddNode(n); err != nil {

@@ -12,8 +12,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/stats"
@@ -61,6 +66,42 @@ type Study struct {
 	Protocol Protocol
 	Catalog  *catalog.Catalog
 	Survey   *survey.Survey
+
+	fpOnce sync.Once
+	fp     string
+	fpErr  error
+}
+
+// Fingerprint returns the SHA-256 hex digest of the study's content: the
+// catalog JSON (the corpus) concatenated with a canonical rendering of the
+// survey's integration matrix. It is the cache-invalidation root for every
+// rendered report artifact. It is computed on first use and kept, so the
+// study's catalog and survey must not change after NewStudy.
+func (s *Study) Fingerprint() (string, error) {
+	s.fpOnce.Do(func() { s.fp, s.fpErr = s.fingerprint() })
+	return s.fp, s.fpErr
+}
+
+func (s *Study) fingerprint() (string, error) {
+	h := sha256.New()
+	if err := s.Catalog.WriteJSON(h); err != nil {
+		return "", fmt.Errorf("core: fingerprinting catalog: %w", err)
+	}
+	m := s.Survey.Matrix()
+	// Canonical matrix rendering: app columns in order, then every
+	// (tool, app) selection pair sorted.
+	fmt.Fprintf(h, "\x00apps:%s", strings.Join(m.AppIDs, ","))
+	var pairs []string
+	for _, tool := range m.ToolNames {
+		for c, sel := range m.Row(tool) {
+			if sel {
+				pairs = append(pairs, tool+"\x01"+m.AppIDs[c])
+			}
+		}
+	}
+	sort.Strings(pairs)
+	fmt.Fprintf(h, "\x00votes:%s", strings.Join(pairs, ","))
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // NewStudy assembles a study over c using the recorded survey responses.

@@ -345,3 +345,29 @@ func mustRegister(t testing.TB, r *Registry, e Experiment) {
 		t.Fatal(err)
 	}
 }
+
+// Run keys the memo and provenance with the fingerprint Register computed:
+// the value equals a fresh Spec.Fingerprint, cold and warm.
+func TestRunUsesRegisteredFingerprint(t *testing.T) {
+	r := NewRegistry()
+	spec := Spec{Name: "fp", Params: map[string]any{"n": 3, "mode": "fast"}}
+	if err := r.Register(Experiment{Spec: spec, Run: func(context.Context, *Env, Spec) (*Result, error) {
+		return &Result{Metrics: map[string]float64{"x": 1}}, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := spec.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{Seed: 1, Store: cas.NewMemStore()}
+	for _, wantCached := range []bool{false, true} {
+		res, err := r.Run(context.Background(), env, "fp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Provenance.Fingerprint != want || res.Provenance.Cached != wantCached {
+			t.Fatalf("provenance %+v, want fingerprint %s cached %v", res.Provenance, want, wantCached)
+		}
+	}
+}

@@ -15,6 +15,9 @@ import (
 // memoizable under the uniform contract.
 type Registry struct {
 	byName map[string]Experiment
+	// fps holds each experiment's Spec fingerprint, computed once by
+	// Register: a registered Spec must not change.
+	fps map[string]string
 	// name is the assembly name recorded in runpack provenance (see
 	// SetName / Name in seal.go).
 	name string
@@ -22,7 +25,7 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: map[string]Experiment{}}
+	return &Registry{byName: map[string]Experiment{}, fps: map[string]string{}}
 }
 
 // Register adds an experiment. The name must be non-empty and unique, the
@@ -39,10 +42,12 @@ func (r *Registry) Register(e Experiment) error {
 	if _, dup := r.byName[e.Spec.Name]; dup {
 		return fmt.Errorf("exp: duplicate experiment %q", e.Spec.Name)
 	}
-	if _, err := e.Spec.Fingerprint(); err != nil {
+	fp, err := e.Spec.Fingerprint()
+	if err != nil {
 		return err
 	}
 	r.byName[e.Spec.Name] = e
+	r.fps[e.Spec.Name] = fp
 	return nil
 }
 
@@ -94,14 +99,10 @@ func (r *Registry) Run(ctx context.Context, env *Env, name string) (*Result, err
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown experiment %q (see -list)", name)
 	}
-	fp, err := e.Spec.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
 	seed := env.SeedFor(name)
 
 	sp := env.StartSpan("exp.run", name)
-	res, err := r.run(ctx, env, e, fp, seed)
+	res, err := r.run(ctx, env, e, r.fps[name], seed)
 	sp.End(err)
 	return res, err
 }

@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 )
@@ -53,9 +54,10 @@ func Canonicalize(data []byte) ([]byte, error) {
 	if err := dec.Decode(&v); err != nil {
 		return nil, fmt.Errorf("jcs: parsing: %w", err)
 	}
-	// A second Decode must hit EOF: "{} {}" is not one document.
+	// A second Decode must hit EOF: neither "{} {}" nor "0A0" is one
+	// document.
 	var trailing any
-	if err := dec.Decode(&trailing); err == nil {
+	if err := dec.Decode(&trailing); err != io.EOF {
 		return nil, fmt.Errorf("jcs: trailing data after JSON value")
 	}
 	var buf bytes.Buffer

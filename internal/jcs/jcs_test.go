@@ -2,6 +2,8 @@ package jcs
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -146,5 +148,50 @@ func TestLargeDocumentRoundTrip(t *testing.T) {
 	}
 	if !IsCanonical(c) {
 		t.Fatal("large document canonical form unstable")
+	}
+}
+
+// FuzzCanonicalize feeds arbitrary bytes to Canonicalize. It never panics;
+// input it accepts canonicalizes to bytes that IsCanonical accepts and that
+// canonicalize to themselves, and that encoding/json decodes to the same
+// value as the input.
+func FuzzCanonicalize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := Canonicalize(data)
+		if err != nil {
+			return
+		}
+		if !IsCanonical(out) {
+			t.Fatalf("canonical form %q is not canonical", out)
+		}
+		again, err := Canonicalize(out)
+		if err != nil || !bytes.Equal(again, out) {
+			t.Fatalf("re-canonicalizing %q gave %q (%v)", out, again, err)
+		}
+		var in, back any
+		if err := json.Unmarshal(data, &in); err != nil {
+			t.Fatalf("accepted input %q does not decode: %v", data, err)
+		}
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("canonical form %q does not decode: %v", out, err)
+		}
+		if !reflect.DeepEqual(in, back) {
+			t.Fatalf("canonical form %q decodes to %v, input to %v", out, back, in)
+		}
+	})
+}
+
+// One document and nothing after it but whitespace: a second value, or
+// bytes that start no value, are trailing data.
+func TestCanonicalizeRejectsTrailingData(t *testing.T) {
+	for _, in := range []string{`{} {}`, `0A0`, `{"a":1}x`, `[1] ]`, `"s" "t"`, `1 2`} {
+		if out, err := Canonicalize([]byte(in)); err == nil {
+			t.Errorf("%q canonicalized to %q", in, out)
+		}
+	}
+	for _, in := range []string{"{}", " {} \n", "0", "\t[1]\r\n"} {
+		if _, err := Canonicalize([]byte(in)); err != nil {
+			t.Errorf("%q: %v", in, err)
+		}
 	}
 }

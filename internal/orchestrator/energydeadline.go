@@ -49,9 +49,10 @@ func (p EnergyDeadline) Place(wf *workflow.Workflow, inf *continuum.Infrastructu
 	avail := map[string]float64{}
 	finish := map[string]float64{}
 	placement := Placement{}
+	var cand []*continuum.Node
 	for _, id := range topo {
 		s, _ := wf.Step(id)
-		cand := candidates(s, inf)
+		cand = candidates(cand, s, inf)
 		if len(cand) == 0 {
 			return nil, unplaceable(s)
 		}

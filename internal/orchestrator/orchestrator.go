@@ -37,10 +37,11 @@ type Policy interface {
 	Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Placement, error)
 }
 
-// candidates returns the nodes a step may run on: tier-compatible and with
-// enough total cores and memory.
-func candidates(s *workflow.Step, inf *continuum.Infrastructure) []*continuum.Node {
-	var out []*continuum.Node
+// candidates appends to dst[:0] the nodes a step may run on:
+// tier-compatible and with enough total cores and memory. Policies pass the
+// previous step's slice back in, so a placement allocates it once.
+func candidates(dst []*continuum.Node, s *workflow.Step, inf *continuum.Infrastructure) []*continuum.Node {
+	out := dst[:0]
 	for _, n := range inf.Nodes() {
 		if s.Tier != "" && string(n.Kind) != s.Tier {
 			continue
@@ -98,8 +99,9 @@ func (RoundRobin) Name() string { return "round-robin" }
 func (RoundRobin) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Placement, error) {
 	p := Placement{}
 	i := 0
+	var cand []*continuum.Node
 	for _, s := range wf.Steps() {
-		cand := candidates(s, inf)
+		cand = candidates(cand, s, inf)
 		if len(cand) == 0 {
 			return nil, unplaceable(s)
 		}
@@ -123,8 +125,9 @@ func (r Random) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Pla
 		src = rng.New(1)
 	}
 	p := Placement{}
+	var cand []*continuum.Node
 	for _, s := range wf.Steps() {
-		cand := candidates(s, inf)
+		cand = candidates(cand, s, inf)
 		if len(cand) == 0 {
 			return nil, unplaceable(s)
 		}
@@ -149,9 +152,10 @@ func (DataLocal) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Pl
 		return nil, err
 	}
 	p := Placement{}
+	var cand []*continuum.Node
 	for _, id := range topo {
 		s, _ := wf.Step(id)
-		cand := candidates(s, inf)
+		cand = candidates(cand, s, inf)
 		if len(cand) == 0 {
 			return nil, unplaceable(s)
 		}
@@ -195,8 +199,9 @@ func (CostAware) Name() string { return "cost-aware" }
 // Place implements Policy.
 func (CostAware) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Placement, error) {
 	p := Placement{}
+	var cand []*continuum.Node
 	for _, s := range wf.Steps() {
-		cand := candidates(s, inf)
+		cand = candidates(cand, s, inf)
 		if len(cand) == 0 {
 			return nil, unplaceable(s)
 		}
@@ -230,8 +235,9 @@ func (EnergyAware) Name() string { return "energy-aware" }
 func (EnergyAware) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Placement, error) {
 	p := Placement{}
 	used := map[string]bool{}
+	var cand []*continuum.Node
 	for _, s := range wf.Steps() {
-		cand := candidates(s, inf)
+		cand = candidates(cand, s, inf)
 		if len(cand) == 0 {
 			return nil, unplaceable(s)
 		}
@@ -283,8 +289,9 @@ func (HEFT) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Placeme
 
 	// Mean execution time per step across its candidates (HEFT rank basis).
 	meanExec := map[string]float64{}
+	var cand []*continuum.Node
 	for _, s := range wf.Steps() {
-		cand := candidates(s, inf)
+		cand = candidates(cand, s, inf)
 		if len(cand) == 0 {
 			return nil, unplaceable(s)
 		}
@@ -332,7 +339,8 @@ func (HEFT) Place(wf *workflow.Workflow, inf *continuum.Infrastructure) (Placeme
 		s, _ := wf.Step(id)
 		bestFinish := math.Inf(1)
 		var best *continuum.Node
-		for _, n := range candidates(s, inf) {
+		cand = candidates(cand, s, inf)
+		for _, n := range cand {
 			exec, err := n.ExecSeconds(s.WorkGFlop, min(s.Cores, n.Cores))
 			if err != nil {
 				return nil, err

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/par"
 	"repro/internal/stream"
 )
 
@@ -256,12 +257,31 @@ func deserialize(data []byte) ([]File, error) {
 	return out, nil
 }
 
+// writers recycles one flate compressor per level (HuffmanOnly through
+// BestCompression): a compressor is about 1 MB of state, which Reset
+// clears without reallocating, and a reset writer emits the same bytes as
+// a new one.
+var writers = func() (pools [flate.BestCompression - flate.HuffmanOnly + 1]*par.Pool[*flate.Writer]) {
+	for i := range pools {
+		level := flate.HuffmanOnly + i
+		pools[i] = par.NewPool(func() *flate.Writer {
+			w, err := flate.NewWriter(io.Discard, level)
+			if err != nil {
+				panic(err) // every level in the range is valid
+			}
+			return w
+		})
+	}
+	return pools
+}()
+
+// compressBlock deflates raw at a level Options.defaults validated.
 func compressBlock(raw []byte, level int) ([]byte, error) {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, level)
-	if err != nil {
-		return nil, err
-	}
+	pool := writers[level-flate.HuffmanOnly]
+	w := pool.Get()
+	defer pool.Put(w)
+	w.Reset(&buf)
 	if _, err := w.Write(raw); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package ppc
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
 	"repro/internal/rng"
 	"sort"
@@ -202,5 +204,41 @@ func TestSyntheticCorpusDeterministic(t *testing.T) {
 	sort.Strings(names)
 	if names[0] == names[1] {
 		t.Error("duplicate names")
+	}
+}
+
+// A recycled compressor emits the same bytes as a new one, at every level
+// and on every reuse — the archive bytes do not depend on pool state.
+func TestPooledWriterMatchesFresh(t *testing.T) {
+	raw := serialize(corpus(t)[:12])
+	for level := flate.HuffmanOnly; level <= flate.BestCompression; level++ {
+		var want bytes.Buffer
+		w, err := flate.NewWriter(&want, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			got, err := compressBlock(raw[:len(raw)-round], level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 && !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("level %d: pooled writer output differs from a fresh writer", level)
+			}
+			back, err := decompressBlock(got)
+			if err != nil || !bytes.Equal(back, raw[:len(raw)-round]) {
+				t.Fatalf("level %d round %d: round trip failed (%v)", level, round, err)
+			}
+		}
+		again, err := compressBlock(raw, level)
+		if err != nil || !bytes.Equal(again, want.Bytes()) {
+			t.Fatalf("level %d: reused writer output differs (%v)", level, err)
+		}
 	}
 }

@@ -9,12 +9,6 @@ package report
 // re-keys every section.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -35,7 +29,7 @@ const ExperimentName = "report.full"
 // derives from this spec's fingerprint, so an edit to the corpus, the
 // votes, or the renderer recipe re-keys exactly what it invalidates.
 func Spec(s *core.Study) (exp.Spec, error) {
-	fp, err := StudyFingerprint(s)
+	fp, err := s.Fingerprint()
 	if err != nil {
 		return exp.Spec{}, err
 	}
@@ -43,32 +37,6 @@ func Spec(s *core.Study) (exp.Spec, error) {
 		Name:   ExperimentName,
 		Params: map[string]any{"version": reportCacheVersion, "study": fp},
 	}, nil
-}
-
-// StudyFingerprint returns the SHA-256 hex digest of the study's content:
-// the catalog JSON (the corpus) concatenated with a canonical rendering of
-// the survey's integration matrix. It is the cache-invalidation root for
-// every rendered artifact.
-func StudyFingerprint(s *core.Study) (string, error) {
-	h := sha256.New()
-	if err := s.Catalog.WriteJSON(h); err != nil {
-		return "", fmt.Errorf("report: fingerprinting catalog: %w", err)
-	}
-	m := s.Survey.Matrix()
-	// Canonical matrix rendering: app columns in order, then every
-	// (tool, app) selection pair sorted.
-	fmt.Fprintf(h, "\x00apps:%s", strings.Join(m.AppIDs, ","))
-	var pairs []string
-	for tool, apps := range m.Selected {
-		for app, sel := range apps {
-			if sel {
-				pairs = append(pairs, tool+"\x01"+app)
-			}
-		}
-	}
-	sort.Strings(pairs)
-	fmt.Fprintf(h, "\x00votes:%s", strings.Join(pairs, ","))
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // sectionKey is the memo key of one rendered section: the cas step key of

@@ -108,11 +108,11 @@ func TestStudyFingerprintSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := StudyFingerprint(s1)
+	f1, err := s1.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := StudyFingerprint(s2)
+	f2, err := s2.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStudyFingerprintSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f3, err := StudyFingerprint(s3)
+	f3, err := s3.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,9 @@ func Table2(s *core.Study) *charts.Table {
 				cells = append(cells, "")
 			}
 			cells = append(cells, t.Name)
-			for _, app := range m.AppIDs {
-				if m.Selected[t.Name][app] {
+			sel := m.Row(t.Name)
+			for c := range m.AppIDs {
+				if sel[c] {
 					cells = append(cells, "✓")
 				} else {
 					cells = append(cells, "")
@@ -99,11 +100,7 @@ func Table2Matrix(s *core.Study) *charts.Matrix {
 		for _, t := range s.Catalog.ToolsByDirection(d) {
 			out.RowLabels = append(out.RowLabels, t.Name)
 			out.RowGroups = append(out.RowGroups, d.Index())
-			row := make([]bool, len(m.AppIDs))
-			for c, app := range m.AppIDs {
-				row[c] = m.Selected[t.Name][app]
-			}
-			out.Cells = append(out.Cells, row)
+			out.Cells = append(out.Cells, m.Row(t.Name))
 		}
 	}
 	return out

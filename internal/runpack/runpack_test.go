@@ -2,6 +2,9 @@ package runpack
 
 import (
 	"bytes"
+	"crypto/ed25519"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -380,5 +383,34 @@ func TestFirstDiffOffset(t *testing.T) {
 		if got := firstDiffOffset([]byte(c.a), []byte(c.b)); got != c.want {
 			t.Errorf("firstDiffOffset(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// The key pair expanded once in NewEd25519Key signs and publishes exactly
+// what a pair expanded from the seed on every call does: ed25519 signing
+// is deterministic, so signatures, pack IDs and goldens stay byte-identical.
+func TestEd25519KeyMatchesFreshExpansion(t *testing.T) {
+	for _, material := range []string{"server material", "", "smsd/pack-key/v1|1"} {
+		seed := sha256.Sum256(append([]byte("runpack/ed25519-seed/v1|"), material...))
+		fresh := ed25519.NewKeyFromSeed(seed[:])
+		wantPub := hex.EncodeToString(fresh.Public().(ed25519.PublicKey))
+		key := NewEd25519Key([]byte(material))
+		if got := key.Public(); got != wantPub {
+			t.Fatalf("%q: public key %s, want %s", material, got, wantPub)
+		}
+		raw := []byte(`{"experiment":"continuum/test"}`)
+		sig, err := key.Sign("id", raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := hex.EncodeToString(ed25519.Sign(fresh, raw)); sig.Sig != want || sig.PubKey != wantPub {
+			t.Fatalf("%q: signature %+v, want sig %s pubkey %s", material, sig, want, wantPub)
+		}
+		if err := sig.VerifyWith(key, raw); err != nil {
+			t.Fatalf("%q: %v", material, err)
+		}
+	}
+	if pub := DevKey().Public(); pub != "" {
+		t.Fatalf("hmac key has public key %q", pub)
 	}
 }

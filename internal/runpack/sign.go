@@ -23,11 +23,13 @@ const (
 	AlgoEd25519 Algo = "ed25519"
 )
 
-// Key is a signing key: an HMAC secret or an ed25519 seed. The zero value
-// is invalid; construct with NewHMACKey / NewEd25519Key / DevKey.
+// Key is a signing key: an HMAC secret or an ed25519 key pair. The zero
+// value is invalid; construct with NewHMACKey / NewEd25519Key / DevKey.
 type Key struct {
 	algo   Algo
-	secret []byte // HMAC secret, or the 32-byte ed25519 private seed
+	secret []byte             // HMAC secret
+	priv   ed25519.PrivateKey // ed25519 private key, expanded once
+	pub    string             // hex ed25519 public key
 }
 
 // NewHMACKey returns an HMAC-SHA256 signing key over secret.
@@ -37,10 +39,12 @@ func NewHMACKey(secret []byte) Key {
 
 // NewEd25519Key derives an ed25519 signing key from seed material of any
 // length: the material is hashed to the 32-byte private seed, so a caller
-// can feed a passphrase, a random blob, or a deterministic stream.
+// can feed a passphrase, a random blob, or a deterministic stream. The key
+// pair is expanded here, once, not on every Sign or Public.
 func NewEd25519Key(material []byte) Key {
 	sum := sha256.Sum256(append([]byte("runpack/ed25519-seed/v1|"), material...))
-	return Key{algo: AlgoEd25519, secret: sum[:]}
+	priv := ed25519.NewKeyFromSeed(sum[:])
+	return Key{algo: AlgoEd25519, priv: priv, pub: hex.EncodeToString(priv.Public().(ed25519.PublicKey))}
 }
 
 // DevKey is the documented development/CI key: an HMAC key over a fixed
@@ -53,13 +57,7 @@ func DevKey() Key { return NewHMACKey([]byte("runpack-dev-key/v1")) }
 func (k Key) Zero() bool { return k.algo == "" }
 
 // Public returns the hex-encoded ed25519 public key ("" for HMAC keys).
-func (k Key) Public() string {
-	if k.algo != AlgoEd25519 {
-		return ""
-	}
-	priv := ed25519.NewKeyFromSeed(k.secret)
-	return hex.EncodeToString(priv.Public().(ed25519.PublicKey))
-}
+func (k Key) Public() string { return k.pub }
 
 // Signature is the detached signature stored beside (and in bundles,
 // inside) a runpack: the manifest digest it covers, the algorithm, the
@@ -84,10 +82,8 @@ func (k Key) Sign(id string, raw []byte) (Signature, error) {
 		mac.Write(raw)
 		return Signature{ID: id, Algo: AlgoHMAC, Sig: hex.EncodeToString(mac.Sum(nil))}, nil
 	case AlgoEd25519:
-		priv := ed25519.NewKeyFromSeed(k.secret)
-		sig := ed25519.Sign(priv, raw)
-		return Signature{ID: id, Algo: AlgoEd25519, Sig: hex.EncodeToString(sig),
-			PubKey: hex.EncodeToString(priv.Public().(ed25519.PublicKey))}, nil
+		sig := ed25519.Sign(k.priv, raw)
+		return Signature{ID: id, Algo: AlgoEd25519, Sig: hex.EncodeToString(sig), PubKey: k.pub}, nil
 	default:
 		return Signature{}, fmt.Errorf("runpack: signing with unset key")
 	}
@@ -111,10 +107,10 @@ func (s Signature) VerifyWith(k Key, raw []byte) error {
 		}
 		return nil
 	case AlgoEd25519:
-		if s.PubKey != k.Public() {
+		if s.PubKey != k.pub {
 			return fmt.Errorf("%w: signature public key %s is not the verifying key's", ErrSignature, short(s.PubKey))
 		}
-		return s.VerifyPublic(k.Public(), raw)
+		return s.VerifyPublic(k.pub, raw)
 	default:
 		return fmt.Errorf("%w: verifying with unset key", ErrSignature)
 	}

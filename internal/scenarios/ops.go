@@ -17,6 +17,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/bigdata"
@@ -433,12 +435,17 @@ func (op InjectFaults) Apply(ctx context.Context, env *exp.Env, st *State) error
 	seed := env.SeedFor(op.Stream)
 	inflated := workflow.New(wf.Name)
 	failures, attempts := 0, 0
+	var key [41]byte
 	for i, s := range wf.Steps() {
 		att := 1
 		for a := 1; a <= op.MaxRetries; a++ {
 			// Attempt a of step i fails iff its positional uniform falls
-			// under Prob — the nested-set construction.
-			if hashUniform(seed, s.ID, fmt.Sprintf("%d/%d", i, a)) >= op.Prob {
+			// under Prob — the nested-set construction. The key "i/a" is
+			// built on the stack.
+			k := strconv.AppendInt(key[:0], int64(i), 10)
+			k = append(k, '/')
+			k = strconv.AppendInt(k, int64(a), 10)
+			if hashUniform(seed, s.ID, string(k)) >= op.Prob {
 				break
 			}
 			att++
@@ -1125,6 +1132,14 @@ type EnergyFleet struct {
 
 func (EnergyFleet) Kind() string { return "energy-fleet" }
 
+// vmID names fleet VM i: the bytes of fmt.Sprintf("vm-%02d", i) for i >= 0.
+func vmID(i int) string {
+	if i < 10 {
+		return "vm-0" + strconv.Itoa(i)
+	}
+	return "vm-" + strconv.Itoa(i)
+}
+
 func (op EnergyFleet) Apply(ctx context.Context, env *exp.Env, st *State) error {
 	if op.CoresMax < op.CoresMin || op.CoresMin < 1 {
 		return fmt.Errorf("bad core range [%d,%d]", op.CoresMin, op.CoresMax)
@@ -1142,7 +1157,7 @@ func (op EnergyFleet) Apply(ctx context.Context, env *exp.Env, st *State) error 
 	vms := make([]energy.VM, op.VMs)
 	for i := range vms {
 		vms[i] = energy.VM{
-			ID:        fmt.Sprintf("vm-%02d", i),
+			ID:        vmID(i),
 			Cores:     op.CoresMin + r.Intn(op.CoresMax-op.CoresMin+1),
 			DurationS: op.DurationS,
 		}
@@ -1189,18 +1204,10 @@ type flipRespondent struct {
 	seed int64
 }
 
-func (f flipRespondent) Respond(app *catalog.Application, tools []catalog.Tool) (Response survey.Response, err error) {
-	base, err := survey.RecordedRespondent{}.Respond(app, tools)
-	if err != nil {
-		return survey.Response{}, err
-	}
-	selected := map[string]bool{}
-	for _, t := range base.Tools {
-		selected[t] = true
-	}
+func (f flipRespondent) Respond(app *catalog.Application, tools []catalog.Tool) (survey.Response, error) {
 	var out []string
 	for _, t := range tools {
-		in := selected[t.Name]
+		in := slices.Contains(app.SelectedTools, t.Name)
 		if hashUniform(f.seed, app.ID, t.Name) < f.prob {
 			in = !in
 		}
@@ -1210,18 +1217,17 @@ func (f flipRespondent) Respond(app *catalog.Application, tools []catalog.Tool) 
 	}
 	if len(out) == 0 {
 		// A provider always selects something; keep the recorded answer.
-		out = base.Tools
+		out = append([]string(nil), app.SelectedTools...)
 	}
 	return survey.Response{ApplicationID: app.ID, Tools: out}, nil
 }
 
 func (op PerturbSurvey) Apply(ctx context.Context, env *exp.Env, st *State) error {
-	c := catalog.Default()
-	base, err := survey.Run(c, survey.RecordedRespondent{})
+	base, err := survey.Recorded()
 	if err != nil {
 		return err
 	}
-	perturbed, err := survey.Run(c, flipRespondent{prob: op.FlipProb, seed: env.SeedFor(op.Stream)})
+	perturbed, err := base.Rerun(flipRespondent{prob: op.FlipProb, seed: env.SeedFor(op.Stream)})
 	if err != nil {
 		return err
 	}

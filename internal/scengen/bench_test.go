@@ -8,10 +8,10 @@ import (
 )
 
 // The generated-family hot paths gated by make bench-gate (BENCH_scen.json):
-// pure config generation, the cold sharded sweep (every shard body
-// executes), and the warm sweep (every shard served from the store, zero
-// bodies). Allocation counts on all three are deterministic, so the 10%
-// alloc gate effectively pins them exactly.
+// pure config generation, the cold sharded sweeps of the faults and survey
+// families (every shard body executes), and the warm sweep (every shard
+// served from the store, zero bodies). Allocation counts on all four are
+// deterministic, so the 10% alloc gate effectively pins them exactly.
 
 // BenchmarkScenGenConfigs measures drawing every configuration of the
 // faults family — the pure (seed, i) → ops generation path, no execution.
@@ -31,8 +31,14 @@ func BenchmarkScenGenConfigs(b *testing.B) {
 
 // BenchmarkScenFamilyCold measures one full uncached faults-family sweep:
 // generate, run, and invariant-check all configurations, no store.
-func BenchmarkScenFamilyCold(b *testing.B) {
-	f := family(b, "faults")
+func BenchmarkScenFamilyCold(b *testing.B) { benchCold(b, "faults") }
+
+// BenchmarkScenSurveyCold is the same cold sweep over the survey family:
+// 128 perturbed re-runs of the recorded Table 2 survey.
+func BenchmarkScenSurveyCold(b *testing.B) { benchCold(b, "survey") }
+
+func benchCold(b *testing.B, name string) {
+	f := family(b, name)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

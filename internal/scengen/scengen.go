@@ -14,7 +14,8 @@
 package scengen
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/exp"
 	"repro/internal/rng"
@@ -51,8 +52,24 @@ func (f Family) SeedStream() string { return "scengen/" + f.Name }
 // (env.Seed, family, i) — independent of every other configuration.
 func (f Family) Config(env *exp.Env, i int) Config {
 	r := rng.New(env.IndexedSeed(f.SeedStream(), i))
-	stream := fmt.Sprintf("scengen/%s/%06d", f.Name, i)
-	return Config{Family: f.Name, Index: i, Ops: f.gen(r, stream)}
+	return Config{Family: f.Name, Index: i, Ops: f.gen(r, streamName(f.Name, i))}
+}
+
+// streamName names configuration i's op streams: the bytes of
+// fmt.Sprintf("scengen/%s/%06d", family, i) for i >= 0, in one allocation.
+func streamName(family string, i int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	var b strings.Builder
+	b.Grow(len("scengen/") + len(family) + 1 + max(6, len(d)))
+	b.WriteString("scengen/")
+	b.WriteString(family)
+	b.WriteByte('/')
+	for range 6 - len(d) {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	return b.String()
 }
 
 // Families returns the registered what-if axes. Sizes total 1088
@@ -92,6 +109,9 @@ func Families() []Family {
 	}
 }
 
+// stepIDs names the steps of a drawn workflow: "s00" to "s07".
+var stepIDs = [8]string{"s00", "s01", "s02", "s03", "s04", "s05", "s06", "s07"}
+
 // drawWorkflow draws a random layered DAG of 3–8 steps: each step depends
 // on one or two earlier steps, with mixed tier pins and core demands that
 // every testbed node class can satisfy.
@@ -101,15 +121,15 @@ func drawWorkflow(r *rng.Rand) scenarios.BuildWorkflow {
 	tiers := []string{"", "", "hpc", "cloud"}
 	for i := range steps {
 		sp := scenarios.StepSpec{
-			ID:    fmt.Sprintf("s%02d", i),
+			ID:    stepIDs[i],
 			GFlop: 50 + float64(r.Intn(20))*25,
 			Cores: 1 << r.Intn(4),
 			Tier:  tiers[r.Intn(len(tiers))],
 		}
 		if i > 0 {
-			sp.After = []string{fmt.Sprintf("s%02d", r.Intn(i))}
+			sp.After = []string{stepIDs[r.Intn(i)]}
 			if i > 1 && r.Float64() < 0.3 {
-				dep := fmt.Sprintf("s%02d", r.Intn(i))
+				dep := stepIDs[r.Intn(i)]
 				if dep != sp.After[0] {
 					sp.After = append(sp.After, dep)
 				}

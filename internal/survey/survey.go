@@ -13,7 +13,9 @@ package survey
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/stats"
@@ -53,7 +55,12 @@ func (RecordedRespondent) Respond(app *catalog.Application, tools []catalog.Tool
 type Survey struct {
 	Catalog   *catalog.Catalog
 	Responses []Response
+	// picks lists every selection as catalog positions, in response order:
+	// the aggregations count positions instead of looking names up.
+	picks []pick
 }
+
+type pick struct{ app, tool int }
 
 // Run collects one response per application using the given respondent.
 func Run(c *catalog.Catalog, r Respondent) (*Survey, error) {
@@ -63,78 +70,122 @@ func Run(c *catalog.Catalog, r Respondent) (*Survey, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Survey{Catalog: c}
+	return run(c, r)
+}
+
+// recordedSurvey is the recorded survey over the embedded catalog, built
+// and validated once per process.
+var recordedSurvey = sync.OnceValues(func() (*Survey, error) {
+	return Run(catalog.Default(), RecordedRespondent{})
+})
+
+// Recorded returns the recorded survey over the embedded catalog — the
+// paper's Table 2. It is built once and shared, so callers must not modify
+// it or its catalog.
+func Recorded() (*Survey, error) { return recordedSurvey() }
+
+// Rerun asks r over s's catalog, which Run already validated. Each
+// response is validated as in Run.
+func (s *Survey) Rerun(r Respondent) (*Survey, error) { return run(s.Catalog, r) }
+
+func run(c *catalog.Catalog, r Respondent) (*Survey, error) {
+	s := &Survey{Catalog: c, Responses: make([]Response, 0, len(c.Applications))}
 	for i := range c.Applications {
 		resp, err := r.Respond(&c.Applications[i], c.Tools)
 		if err != nil {
 			return nil, fmt.Errorf("survey: application %s: %w", c.Applications[i].ID, err)
 		}
-		if err := s.validateResponse(resp); err != nil {
+		if err := s.add(resp); err != nil {
 			return nil, err
 		}
-		s.Responses = append(s.Responses, resp)
 	}
 	return s, nil
 }
 
-func (s *Survey) validateResponse(r Response) error {
-	if _, err := s.Catalog.Application(r.ApplicationID); err != nil {
+// add validates a response against the catalog and records it.
+func (s *Survey) add(r Response) error {
+	app, err := s.Catalog.ApplicationIndex(r.ApplicationID)
+	if err != nil {
 		return err
 	}
-	seen := map[string]bool{}
-	for _, t := range r.Tools {
-		if _, err := s.Catalog.Tool(t); err != nil {
+	for k, t := range r.Tools {
+		tool, err := s.Catalog.ToolIndex(t)
+		if err != nil {
 			return fmt.Errorf("survey: response %s: %w", r.ApplicationID, err)
 		}
-		if seen[t] {
+		if slices.Contains(r.Tools[:k], t) {
 			return fmt.Errorf("survey: response %s selects %q twice", r.ApplicationID, t)
 		}
-		seen[t] = true
+		s.picks = append(s.picks, pick{app, tool})
 	}
+	s.Responses = append(s.Responses, r)
 	return nil
+}
+
+// selected returns the application × tool selection grid, row-major by
+// tool: grid[tool*len(Applications)+app].
+func (s *Survey) selected() []bool {
+	apps := len(s.Catalog.Applications)
+	grid := make([]bool, len(s.Catalog.Tools)*apps)
+	for _, p := range s.picks {
+		grid[p.tool*apps+p.app] = true
+	}
+	return grid
 }
 
 // Matrix is the application × tool integration matrix (Table 2).
 type Matrix struct {
 	ToolNames []string // row order: catalog order (grouped by direction)
 	AppIDs    []string // column order: catalog order
-	Selected  map[string]map[string]bool
+	cells     []bool   // row-major: cells[row*len(AppIDs)+col]
 }
 
 // Matrix builds the integration matrix from the survey responses.
 func (s *Survey) Matrix() *Matrix {
-	m := &Matrix{Selected: map[string]map[string]bool{}}
-	for _, t := range s.Catalog.Tools {
-		m.ToolNames = append(m.ToolNames, t.Name)
-		m.Selected[t.Name] = map[string]bool{}
+	m := &Matrix{
+		ToolNames: make([]string, len(s.Catalog.Tools)),
+		AppIDs:    make([]string, len(s.Catalog.Applications)),
+		cells:     s.selected(),
 	}
-	for _, a := range s.Catalog.Applications {
-		m.AppIDs = append(m.AppIDs, a.ID)
+	for i, t := range s.Catalog.Tools {
+		m.ToolNames[i] = t.Name
 	}
-	for _, r := range s.Responses {
-		for _, t := range r.Tools {
-			m.Selected[t][r.ApplicationID] = true
-		}
+	for i, a := range s.Catalog.Applications {
+		m.AppIDs[i] = a.ID
 	}
 	return m
 }
 
+// Row returns the named tool's selections, one per AppIDs column (nil for
+// an unknown tool). The slice is the matrix's own.
+func (m *Matrix) Row(tool string) []bool {
+	i := slices.Index(m.ToolNames, tool)
+	if i < 0 {
+		return nil
+	}
+	n := len(m.AppIDs)
+	return m.cells[i*n : (i+1)*n : (i+1)*n]
+}
+
 // Checkmarks returns the total number of selections in the matrix.
-func (m *Matrix) Checkmarks() int {
+func (m *Matrix) Checkmarks() int { return count(m.cells) }
+
+func count(cells []bool) int {
 	n := 0
-	for _, apps := range m.Selected {
-		n += len(apps)
+	for _, c := range cells {
+		if c {
+			n++
+		}
 	}
 	return n
 }
 
-// VotesByTool returns the number of applications that selected each tool.
-func (s *Survey) VotesByTool() map[string]int {
-	out := map[string]int{}
-	for _, r := range s.Responses {
-		for _, t := range r.Tools {
-			out[t]++
-		}
+// VotesByTool returns the number of applications that selected each tool,
+// indexed like Catalog.Tools.
+func (s *Survey) VotesByTool() []int {
+	out := make([]int, len(s.Catalog.Tools))
+	for _, p := range s.picks {
+		out[p.tool]++
 	}
 	return out
 }
@@ -143,13 +194,9 @@ func (s *Survey) VotesByTool() map[string]int {
 // distribution of Figure 4.
 func (s *Survey) VotesByDirection() (*stats.CategoricalDist, error) {
 	d := newDirectionDist()
-	for _, r := range s.Responses {
-		for _, name := range r.Tools {
-			tool, err := s.Catalog.Tool(name)
-			if err != nil {
-				return nil, err
-			}
-			d.Observe(string(tool.Direction))
+	for i, n := range s.VotesByTool() {
+		if n > 0 {
+			d.Add(string(s.Catalog.Tools[i].Direction), n)
 		}
 	}
 	return d, nil
@@ -160,8 +207,8 @@ func (s *Survey) VotesByDirection() (*stats.CategoricalDist, error) {
 func (s *Survey) UnselectedTools() []string {
 	votes := s.VotesByTool()
 	var out []string
-	for _, t := range s.Catalog.Tools {
-		if votes[t.Name] == 0 {
+	for i, t := range s.Catalog.Tools {
+		if votes[i] == 0 {
 			out = append(out, t.Name)
 		}
 	}
@@ -172,33 +219,30 @@ func (s *Survey) UnselectedTools() []string {
 // Agreement compares two surveys over the same catalog and returns the
 // Jaccard similarity of their selection sets (1 = identical votes).
 // scenarios.PerturbSurvey uses it to measure how far a perturbed survey
-// drifts from the recorded selections.
+// drifts from the recorded selections. Two catalogs count as the same when
+// they list the same tools and applications in the same order.
 func Agreement(a, b *Survey) (float64, error) {
-	if a.Catalog != b.Catalog && a.Catalog.String() != b.Catalog.String() {
+	if !sameLayout(a.Catalog, b.Catalog) {
 		return 0, errors.New("survey: surveys over different catalogs")
 	}
-	type pair struct{ app, tool string }
-	setOf := func(s *Survey) map[pair]bool {
-		m := map[pair]bool{}
-		for _, r := range s.Responses {
-			for _, t := range r.Tools {
-				m[pair{r.ApplicationID, t}] = true
-			}
-		}
-		return m
-	}
-	sa, sb := setOf(a), setOf(b)
-	inter, union := 0, 0
-	for p := range sa {
-		if sb[p] {
+	ga, gb := a.selected(), b.selected()
+	inter := 0
+	for i, sel := range gb {
+		if sel && ga[i] {
 			inter++
 		}
 	}
-	union = len(sa) + len(sb) - inter
+	union := count(ga) + count(gb) - inter
 	if union == 0 {
 		return 1, nil
 	}
 	return float64(inter) / float64(union), nil
+}
+
+func sameLayout(a, b *catalog.Catalog) bool {
+	return a == b ||
+		slices.EqualFunc(a.Tools, b.Tools, func(x, y catalog.Tool) bool { return x.Name == y.Name }) &&
+			slices.EqualFunc(a.Applications, b.Applications, func(x, y catalog.Application) bool { return x.ID == y.ID })
 }
 
 func newDirectionDist() *stats.CategoricalDist {

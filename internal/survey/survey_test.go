@@ -1,6 +1,7 @@
 package survey
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,18 +30,28 @@ func TestRecordedSurveyMatchesTable2(t *testing.T) {
 		t.Errorf("matrix shape %dx%d, want 25x10", len(m.ToolNames), len(m.AppIDs))
 	}
 	// Spot-check cells from the paper's Table 2.
-	if !m.Selected["StreamFlow"]["3.3"] {
+	if !selected(m, "StreamFlow", "3.3") {
 		t.Error("StreamFlow×3.3 should be checked")
 	}
-	if !m.Selected["PESOS"]["3.5"] {
+	if !selected(m, "PESOS", "3.5") {
 		t.Error("PESOS×3.5 should be checked")
 	}
-	if m.Selected["TORCH"]["3.8"] {
+	if selected(m, "TORCH", "3.8") {
 		t.Error("TORCH×3.8 should be empty")
 	}
-	if m.Selected["PESOS"]["3.1"] {
+	if selected(m, "PESOS", "3.1") {
 		t.Error("PESOS×3.1 should be empty")
 	}
+	if m.Row("NotATool") != nil {
+		t.Error("unknown tool has a row")
+	}
+}
+
+// selected reads one cell of the matrix by tool name and application ID.
+func selected(m *Matrix, tool, app string) bool {
+	col := slices.Index(m.AppIDs, app)
+	row := m.Row(tool)
+	return col >= 0 && row != nil && row[col]
 }
 
 func TestVotesByDirectionIsFig4(t *testing.T) {
@@ -76,14 +87,24 @@ func TestVotesByDirectionIsFig4(t *testing.T) {
 func TestVotesByTool(t *testing.T) {
 	s := recorded(t)
 	votes := s.VotesByTool()
-	if votes["StreamFlow"] != 3 {
-		t.Errorf("StreamFlow votes = %d, want 3", votes["StreamFlow"])
+	if len(votes) != len(s.Catalog.Tools) {
+		t.Fatalf("votes for %d tools, catalog has %d", len(votes), len(s.Catalog.Tools))
 	}
-	if votes["BDMaaS+"] != 2 {
-		t.Errorf("BDMaaS+ votes = %d, want 2", votes["BDMaaS+"])
+	of := func(name string) int {
+		i, err := s.Catalog.ToolIndex(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return votes[i]
 	}
-	if votes["TORCH"] != 0 {
-		t.Errorf("TORCH votes = %d, want 0", votes["TORCH"])
+	if of("StreamFlow") != 3 {
+		t.Errorf("StreamFlow votes = %d, want 3", of("StreamFlow"))
+	}
+	if of("BDMaaS+") != 2 {
+		t.Errorf("BDMaaS+ votes = %d, want 2", of("BDMaaS+"))
+	}
+	if of("TORCH") != 0 {
+		t.Errorf("TORCH votes = %d, want 0", of("TORCH"))
 	}
 }
 
@@ -150,6 +171,28 @@ func TestAgreementBounds(t *testing.T) {
 		if sim <= 0 || sim >= 1 {
 			t.Errorf("partial agreement = %v, want in (0,1)", sim)
 		}
+	}
+}
+
+// Surveys over two catalogs compare position by position when the
+// catalogs list the same tools and applications in the same order, and
+// not at all otherwise.
+func TestAgreementAcrossCatalogs(t *testing.T) {
+	a, err := Run(catalog.Default(), RecordedRespondent{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim, err := Agreement(a, recorded(t)); err != nil || sim != 1 {
+		t.Errorf("equal catalogs: agreement = %v, %v; want 1", sim, err)
+	}
+	c := catalog.Default()
+	c.Tools[0], c.Tools[1] = c.Tools[1], c.Tools[0]
+	b, err := Run(c, RecordedRespondent{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Agreement(a, b); err == nil {
+		t.Error("catalogs with reordered tools compared")
 	}
 }
 

@@ -53,7 +53,7 @@ func Run(ctx context.Context, wf *Workflow, bodies map[string]StepFunc) (map[str
 			results[id] = Result{StepID: id, Err: ErrSkipped}
 			continue
 		}
-		s := wf.steps[id]
+		s := wf.steps[wf.index[id]]
 		deps := make(map[string]any, len(s.After))
 		for _, dep := range s.After {
 			deps[dep] = results[dep].Value

@@ -14,7 +14,9 @@ package workflow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Step is one node of the workflow graph.
@@ -33,16 +35,30 @@ type Step struct {
 	Tier string
 }
 
-// Workflow is a named DAG of steps.
+// Workflow is a named DAG of steps. Add is its only mutation: the steps it
+// hands out are read-only, and once built, a workflow may be read from any
+// number of goroutines.
 type Workflow struct {
 	Name  string
-	steps map[string]*Step
-	order []string // insertion order for deterministic iteration
+	steps []*Step        // insertion order, for deterministic iteration
+	index map[string]int // step ID → position in steps
+	// derived caches the adjacency, order and validation result of the
+	// steps. The first reader builds it; Add drops it.
+	derived atomic.Pointer[graph]
+}
+
+// graph is what a workflow derives from its steps, built once per set of
+// steps and shared by every reader.
+type graph struct {
+	dependents [][]string // by step position: IDs listing that step in After, sorted
+	topo       []string   // Kahn order; nil when cyclic
+	topoErr    error
+	validErr   error
 }
 
 // New returns an empty workflow.
 func New(name string) *Workflow {
-	return &Workflow{Name: name, steps: map[string]*Step{}}
+	return &Workflow{Name: name, index: map[string]int{}}
 }
 
 // Add registers a step. Dependencies may reference steps added later;
@@ -51,7 +67,7 @@ func (w *Workflow) Add(s Step) error {
 	if s.ID == "" {
 		return errors.New("workflow: step with empty ID")
 	}
-	if _, dup := w.steps[s.ID]; dup {
+	if _, dup := w.index[s.ID]; dup {
 		return fmt.Errorf("workflow: duplicate step %q", s.ID)
 	}
 	if s.Cores <= 0 {
@@ -62,8 +78,9 @@ func (w *Workflow) Add(s Step) error {
 	}
 	cp := s
 	cp.After = append([]string(nil), s.After...)
-	w.steps[s.ID] = &cp
-	w.order = append(w.order, s.ID)
+	w.index[s.ID] = len(w.steps)
+	w.steps = append(w.steps, &cp)
+	w.derived.Store(nil)
 	return nil
 }
 
@@ -76,34 +93,32 @@ func (w *Workflow) MustAdd(s Step) {
 
 // Step returns a step by ID.
 func (w *Workflow) Step(id string) (*Step, error) {
-	s, ok := w.steps[id]
+	i, ok := w.index[id]
 	if !ok {
 		return nil, fmt.Errorf("workflow: unknown step %q", id)
 	}
-	return s, nil
+	return w.steps[i], nil
 }
 
-// Steps returns all steps in insertion order.
-func (w *Workflow) Steps() []*Step {
-	out := make([]*Step, 0, len(w.order))
-	for _, id := range w.order {
-		out = append(out, w.steps[id])
-	}
-	return out
-}
+// Steps returns all steps in insertion order. The slice is the workflow's
+// own: callers must not modify it (an append copies).
+func (w *Workflow) Steps() []*Step { return w.steps[:len(w.steps):len(w.steps)] }
 
 // Len returns the number of steps.
-func (w *Workflow) Len() int { return len(w.order) }
+func (w *Workflow) Len() int { return len(w.steps) }
 
-// Dependents returns the IDs of steps that list id in After, sorted.
+// Dependents returns the IDs of steps that list id in After, sorted. The
+// slice is shared: callers must not modify it.
 func (w *Workflow) Dependents(id string) []string {
+	if i, ok := w.index[id]; ok {
+		return w.graph().dependents[i]
+	}
+	// No step has this ID, but steps may still name it as a (dangling)
+	// dependency.
 	var out []string
-	for _, sid := range w.order {
-		for _, dep := range w.steps[sid].After {
-			if dep == id {
-				out = append(out, sid)
-				break
-			}
+	for _, s := range w.steps {
+		if slices.Contains(s.After, id) {
+			out = append(out, s.ID)
 		}
 	}
 	sort.Strings(out)
@@ -115,43 +130,78 @@ var ErrCycle = errors.New("workflow: dependency cycle")
 
 // Validate checks the workflow: non-empty, all dependencies resolve, and
 // the graph is acyclic.
-func (w *Workflow) Validate() error {
-	if len(w.order) == 0 {
-		return errors.New("workflow: empty workflow")
-	}
-	for _, id := range w.order {
-		seen := map[string]bool{}
-		for _, dep := range w.steps[id].After {
-			if _, ok := w.steps[dep]; !ok {
-				return fmt.Errorf("workflow: step %q depends on unknown step %q", id, dep)
-			}
-			if dep == id {
-				return fmt.Errorf("workflow: step %q depends on itself", id)
-			}
-			if seen[dep] {
-				return fmt.Errorf("workflow: step %q lists dependency %q twice", id, dep)
-			}
-			seen[dep] = true
-		}
-	}
-	if _, err := w.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
-}
+func (w *Workflow) Validate() error { return w.graph().validErr }
 
 // TopoOrder returns a deterministic topological order (Kahn's algorithm with
 // lexicographic tie-breaking). It returns ErrCycle if the graph is cyclic.
+// The slice is shared: callers must not modify it.
 func (w *Workflow) TopoOrder() ([]string, error) {
-	indeg := map[string]int{}
-	for _, id := range w.order {
-		indeg[id] = len(w.steps[id].After)
+	g := w.graph()
+	return g.topo, g.topoErr
+}
+
+// graph returns the derived graph, building it on first use. Concurrent
+// first readers may each build one; all are equal, and one is kept.
+func (w *Workflow) graph() *graph {
+	if g := w.derived.Load(); g != nil {
+		return g
 	}
-	// ready kept sorted for determinism.
+	g := w.derive()
+	if w.derived.CompareAndSwap(nil, g) {
+		return g
+	}
+	return w.derived.Load()
+}
+
+// derive computes the adjacency (one pass over the edges), the order and
+// the validation result.
+func (w *Workflow) derive() *graph {
+	n := len(w.steps)
+	g := &graph{dependents: make([][]string, n)}
+	// Each step counts once per distinct dependency it names.
+	distinct := func(after []string, k int) bool { return !slices.Contains(after[:k], after[k]) }
+	start := make([]int, n+1)
+	for _, s := range w.steps {
+		for k, dep := range s.After {
+			if j, ok := w.index[dep]; ok && distinct(s.After, k) {
+				start[j+1]++
+			}
+		}
+	}
+	for j := range n {
+		start[j+1] += start[j]
+	}
+	flat := make([]string, start[n])
+	next := slices.Clone(start[:n])
+	for _, s := range w.steps {
+		for k, dep := range s.After {
+			if j, ok := w.index[dep]; ok && distinct(s.After, k) {
+				flat[next[j]] = s.ID
+				next[j]++
+			}
+		}
+	}
+	for j := range n {
+		if lo, hi := start[j], start[j+1]; lo < hi {
+			g.dependents[j] = flat[lo:hi:hi]
+			sort.Strings(g.dependents[j])
+		}
+	}
+	g.topo, g.topoErr = w.kahn(g.dependents)
+	g.validErr = w.validate(g.topoErr)
+	return g
+}
+
+// kahn orders the steps, always taking the lexicographically smallest ready
+// step. A step's in-degree counts every After entry, so a duplicate or
+// dangling dependency never resolves and reads as a cycle.
+func (w *Workflow) kahn(dependents [][]string) ([]string, error) {
+	indeg := make([]int, len(w.steps))
 	var ready []string
-	for _, id := range w.order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
+	for i, s := range w.steps {
+		indeg[i] = len(s.After)
+		if indeg[i] == 0 {
+			ready = append(ready, s.ID)
 		}
 	}
 	sort.Strings(ready)
@@ -160,22 +210,40 @@ func (w *Workflow) TopoOrder() ([]string, error) {
 		id := ready[0]
 		ready = ready[1:]
 		out = append(out, id)
-		var unlocked []string
-		for _, dep := range w.Dependents(id) {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				unlocked = append(unlocked, dep)
+		for _, dep := range dependents[w.index[id]] {
+			j := w.index[dep]
+			if indeg[j]--; indeg[j] == 0 {
+				at, _ := slices.BinarySearch(ready, dep)
+				ready = slices.Insert(ready, at, dep)
 			}
 		}
-		if len(unlocked) > 0 {
-			ready = append(ready, unlocked...)
-			sort.Strings(ready)
-		}
 	}
-	if len(out) != len(w.order) {
+	if len(out) != len(w.steps) {
 		return nil, ErrCycle
 	}
-	return out, nil
+	return out[:len(out):len(out)], nil
+}
+
+// validate reports the first structural fault in insertion order, then the
+// ordering error.
+func (w *Workflow) validate(topoErr error) error {
+	if len(w.steps) == 0 {
+		return errors.New("workflow: empty workflow")
+	}
+	for _, s := range w.steps {
+		for k, dep := range s.After {
+			if _, ok := w.index[dep]; !ok {
+				return fmt.Errorf("workflow: step %q depends on unknown step %q", s.ID, dep)
+			}
+			if dep == s.ID {
+				return fmt.Errorf("workflow: step %q depends on itself", s.ID)
+			}
+			if slices.Contains(s.After[:k], dep) {
+				return fmt.Errorf("workflow: step %q lists dependency %q twice", s.ID, dep)
+			}
+		}
+	}
+	return topoErr
 }
 
 // Levels decomposes the DAG into dependency levels: level 0 holds steps with
@@ -190,7 +258,7 @@ func (w *Workflow) Levels() ([][]string, error) {
 	maxLevel := 0
 	for _, id := range topo {
 		l := 0
-		for _, dep := range w.steps[id].After {
+		for _, dep := range w.steps[w.index[id]].After {
 			if level[dep]+1 > l {
 				l = level[dep] + 1
 			}
@@ -228,8 +296,8 @@ func (w *Workflow) MaxParallelism() (int, error) {
 // TotalWork returns the sum of WorkGFlop over all steps.
 func (w *Workflow) TotalWork() float64 {
 	var t float64
-	for _, id := range w.order {
-		t += w.steps[id].WorkGFlop
+	for _, s := range w.steps {
+		t += s.WorkGFlop
 	}
 	return t
 }

@@ -3,6 +3,9 @@ package workflow
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -215,5 +218,177 @@ func TestLevelsPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refTopoOrder and refDependents are the direct definitions the derived
+// graph must reproduce: a Dependents scan over every step, and Kahn's
+// algorithm re-sorting the ready list after each unlock.
+func refDependents(w *Workflow, id string) []string {
+	var out []string
+	for _, s := range w.Steps() {
+		for _, dep := range s.After {
+			if dep == id {
+				out = append(out, s.ID)
+				break
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func refTopoOrder(w *Workflow) ([]string, error) {
+	indeg := map[string]int{}
+	var ready []string
+	for _, s := range w.Steps() {
+		indeg[s.ID] = len(s.After)
+		if indeg[s.ID] == 0 {
+			ready = append(ready, s.ID)
+		}
+	}
+	sort.Strings(ready)
+	var out []string
+	for len(ready) > 0 {
+		id := ready[0]
+		ready = ready[1:]
+		out = append(out, id)
+		for _, dep := range refDependents(w, id) {
+			if indeg[dep]--; indeg[dep] == 0 {
+				ready = append(ready, dep)
+				sort.Strings(ready)
+			}
+		}
+	}
+	if len(out) != w.Len() {
+		return nil, ErrCycle
+	}
+	return out, nil
+}
+
+// randomGraph draws a graph that may be invalid: back edges (cycles),
+// self edges, dangling and duplicate dependencies, and IDs whose order
+// differs from insertion order.
+func randomGraph(rng *rand.Rand) *Workflow {
+	n := 1 + rng.Intn(12)
+	name := rng.Perm(n)
+	w := New("rand")
+	for i := 0; i < n; i++ {
+		var after []string
+		for j := 0; j < n; j++ {
+			if rng.Float64() < 0.2 && (j < i || rng.Float64() < 0.1) {
+				after = append(after, fmt.Sprintf("s%02d", name[j]))
+			}
+		}
+		if rng.Float64() < 0.05 {
+			after = append(after, "ghost")
+		}
+		if len(after) > 0 && rng.Float64() < 0.05 {
+			after = append(after, after[0])
+		}
+		w.MustAdd(Step{ID: fmt.Sprintf("s%02d", name[i]), After: after})
+	}
+	return w
+}
+
+// Property: on valid and invalid graphs alike, the derived order,
+// dependents and cycle verdict equal the direct definitions.
+func TestDerivedGraphMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		w := randomGraph(rng)
+		got, gotErr := w.TopoOrder()
+		want, wantErr := refTopoOrder(w)
+		if !slices.Equal(got, want) || gotErr != wantErr {
+			t.Fatalf("trial %d: order %v (%v), want %v (%v)", trial, got, gotErr, want, wantErr)
+		}
+		for _, id := range append(slices.Clone(got), "ghost", "s00") {
+			if g, r := w.Dependents(id), refDependents(w, id); !slices.Equal(g, r) {
+				t.Fatalf("trial %d: dependents(%s) = %v, want %v", trial, id, g, r)
+			}
+		}
+		if err := w.Validate(); (err == nil) != (wantErr == nil && validDeps(w)) {
+			t.Fatalf("trial %d: validate = %v", trial, err)
+		}
+	}
+}
+
+func validDeps(w *Workflow) bool {
+	for _, s := range w.Steps() {
+		for k, dep := range s.After {
+			if _, err := w.Step(dep); err != nil || dep == s.ID || slices.Contains(s.After[:k], dep) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// An Add after the order was derived re-derives it: the new step joins the
+// order, its dependencies list it, and a dangling name fails validation.
+func TestAddRederivesOrder(t *testing.T) {
+	w := diamond(t)
+	if topo, _ := w.TopoOrder(); !slices.Equal(topo, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("order = %v", topo)
+	}
+	w.MustAdd(Step{ID: "0", After: []string{}})
+	w.MustAdd(Step{ID: "e", After: []string{"d", "0"}})
+	topo, err := w.TopoOrder()
+	if err != nil || !slices.Equal(topo, []string{"0", "a", "b", "c", "d", "e"}) {
+		t.Fatalf("order after Add = %v, %v", topo, err)
+	}
+	if deps := w.Dependents("d"); !slices.Equal(deps, []string{"e"}) {
+		t.Fatalf("dependents(d) after Add = %v", deps)
+	}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	w.MustAdd(Step{ID: "f", After: []string{"ghost"}})
+	if err := w.Validate(); err == nil {
+		t.Fatal("dangling dependency added after Validate was accepted")
+	}
+	if _, err := w.TopoOrder(); err != ErrCycle {
+		t.Fatalf("order with a dangling dependency: %v", err)
+	}
+}
+
+// Concurrent readers of one workflow share its derived graph; run under
+// -race, this checks the first build is published safely.
+func TestConcurrentReaders(t *testing.T) {
+	want := benchDAG(300)
+	wantTopo, _ := want.TopoOrder()
+	w := benchDAG(300)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				id := fmt.Sprintf("s%04d", (i*31+g)%300)
+				switch (i + g) % 3 {
+				case 0:
+					if topo, err := w.TopoOrder(); err != nil || !slices.Equal(topo, wantTopo) {
+						errs <- fmt.Sprintf("goroutine %d: order differs (%v)", g, err)
+						return
+					}
+				case 1:
+					if got := w.Dependents(id); !slices.Equal(got, want.Dependents(id)) {
+						errs <- fmt.Sprintf("goroutine %d: dependents(%s) = %v", g, id, got)
+						return
+					}
+				default:
+					if err := w.Validate(); err != nil {
+						errs <- fmt.Sprintf("goroutine %d: %v", g, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
