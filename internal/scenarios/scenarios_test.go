@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/catalog"
@@ -144,5 +145,14 @@ func TestMutateCorpusAllocsPerEntry(t *testing.T) {
 	}
 	if few, many := allocs(16), allocs(4096); few != many {
 		t.Fatalf("MutateCorpus allocates %.0f times for 16 entries and %.0f for 4096", few, many)
+	}
+}
+
+// VM IDs key the fleet's assignment, so they keep the bytes of "vm-%02d".
+func TestVMIDMatchesFormat(t *testing.T) {
+	for i := 0; i <= 150; i++ {
+		if got, want := vmID(i), fmt.Sprintf("vm-%02d", i); got != want {
+			t.Fatalf("vmID(%d) = %q, want %q", i, got, want)
+		}
 	}
 }

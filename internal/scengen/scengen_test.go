@@ -207,3 +207,18 @@ func TestExperimentsMirrorFamilies(t *testing.T) {
 		t.Fatalf("cold and warm Results differ:\n%s\nvs\n%s", cj, wj)
 	}
 }
+
+// Stream names and step IDs seed every op stream, so they keep the bytes
+// of the fmt verbs they replaced at every index, including past six digits.
+func TestNamesMatchFormat(t *testing.T) {
+	for _, i := range []int{0, 7, 42, 319, 999, 123456, 999999, 1000000, 12345678} {
+		if got, want := streamName("faults", i), fmt.Sprintf("scengen/%s/%06d", "faults", i); got != want {
+			t.Errorf("streamName(%d) = %q, want %q", i, got, want)
+		}
+	}
+	for i, id := range stepIDs {
+		if want := fmt.Sprintf("s%02d", i); id != want {
+			t.Errorf("stepIDs[%d] = %q, want %q", i, id, want)
+		}
+	}
+}
