@@ -61,3 +61,27 @@ func TestLoadtestUnknownName(t *testing.T) {
 		t.Fatal("unknown -lt-names accepted")
 	}
 }
+
+// corpus/classify and corpus/stats classify one corpus, so their jobs share
+// every shard key. Run at once, each shard is computed by one of them and
+// recalled by the other, so the exposition (shard exec/hit counters
+// included) is the -workers 1 bytes at every worker count.
+func TestLoadtestSharedShardsDeterministic(t *testing.T) {
+	render := func(workers string) string {
+		var sb strings.Builder
+		if err := run([]string{"-loadtest", "2000", "-lt-names", "corpus/classify,corpus/stats",
+			"-workers", workers}, &sb); err != nil {
+			t.Fatal(err)
+		}
+		out := sb.String()
+		return out[strings.Index(out, "\n"):] // past the echoed workers= header
+	}
+	want := render("1")
+	for i := 0; i < 20; i++ {
+		for _, w := range []string{"4", "8"} {
+			if got := render(w); got != want {
+				t.Fatalf("run %d at %s workers differs from 1 worker:\n%s\nvs\n%s", i, w, got, want)
+			}
+		}
+	}
+}

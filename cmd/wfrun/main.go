@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -236,28 +237,22 @@ func execute(out io.Writer, wf *workflow.Workflow, storeDir string, resume, cach
 	}
 	sim := clock.NewSim(seed)
 
-	// Resume set from the previous run's checkpoint journal.
+	// -resume takes its set from the runs already in the journal.
 	journalPath := filepath.Join(storeDir, "journal.jsonl")
-	var completed map[string]cas.Key
 	if resume {
-		f, err := os.Open(journalPath)
-		if err != nil {
+		if _, err := os.Stat(journalPath); err != nil {
 			return fmt.Errorf("no checkpoint journal to resume from: %w", err)
 		}
-		entries, err := cas.ReadJournal(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		completed = cas.Completed(entries, wf.Name)
 	}
-
-	jf, err := os.OpenFile(journalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	journal, jf, prior, err := cas.OpenJournal(journalPath)
 	if err != nil {
 		return err
 	}
 	defer jf.Close()
-	journal := cas.NewJournal(jf)
+	var completed map[string]cas.Key
+	if resume {
+		completed = cas.Completed(prior, wf.Name)
+	}
 
 	bodies := map[string]workflow.StepFunc{}
 	fingerprints := map[string]string{}
@@ -270,7 +265,7 @@ func execute(out io.Writer, wf *workflow.Workflow, storeDir string, resume, cach
 			}
 			// Pay the modeled cost in simulated time: 1 ms per GFlop.
 			sim.Sleep(time.Duration(s.WorkGFlop * float64(time.Millisecond)))
-			enc, err := cas.Encode(deps)
+			enc, err := json.Marshal(deps)
 			if err != nil {
 				return nil, err
 			}
@@ -283,7 +278,6 @@ func execute(out io.Writer, wf *workflow.Workflow, storeDir string, resume, cach
 		Store:   store,
 		Clock:   sim,
 		Journal: journal,
-		RunID:   "run",
 		Resume:  completed,
 	}
 	res, runErr := memo.Run(context.Background(), wf, bodies, fingerprints)

@@ -217,6 +217,23 @@ func TestExecDiamondDeterministic(t *testing.T) {
 			if !strings.Contains(got.stdout, "| executed 4 | cached 0 | restored 2 | skipped 0") {
 				t.Errorf("resume did not execute exactly b, c, d and join:\n%s", got.stdout)
 			}
+			// Each execution is its own run: the faulted one is run 1 and
+			// the resume run 2, so no two entries share a run and a seq.
+			entries, err := cas.ReadJournal(strings.NewReader(got.journal))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, e := range entries {
+				id := fmt.Sprintf("run %s seq %d", e.Run, e.Seq)
+				if seen[id] {
+					t.Errorf("two journal entries share %s:\n%s", id, got.journal)
+				}
+				seen[id] = true
+			}
+			if first, last := entries[0], entries[len(entries)-1]; first.Run != "1" || last.Run != "2" {
+				t.Errorf("journal runs %q to %q, want 1 to 2:\n%s", first.Run, last.Run, got.journal)
+			}
 		}
 		same("resume", resumed, got, i)
 	}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"repro/internal/rng"
 	"runtime"
 	"time"
@@ -43,14 +44,16 @@ func main() {
 
 	// The parallelism ablation: farm workers vs wall time, measured through
 	// the clock boundary (clock.Real is the sanctioned wall-clock source).
+	// Wall times and the CPU count vary from run to run and host to host,
+	// so this table goes to stderr and stdout stays comparable with cmp.
 	var clk clock.Real
-	fmt.Printf("\n%-9s %12s\n", "workers", "wall time")
+	fmt.Fprintf(os.Stderr, "\n%-9s %12s\n", "workers", "wall time")
 	for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
 		start := clk.Now()
 		if _, err := ppc.Compress(ctx, corpus, ppc.ByName{}, ppc.Options{BlockSize: 64 << 10, Workers: w}); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-9d %12s\n", w, clk.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "%-9d %12s\n", w, clk.Since(start).Round(time.Millisecond))
 	}
 
 	// Round-trip integrity.

@@ -3,6 +3,7 @@ package cas
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -211,29 +212,33 @@ func TestDiskStoreGetCorrupt(t *testing.T) {
 	}
 }
 
+// Memoize stores one encoding per value: maps built in different orders
+// link to one artifact, and a recalled value re-encodes to the same bytes.
 func TestEncodeCanonical(t *testing.T) {
-	a := map[string]any{"z": 1.0, "a": "x", "m": []any{true, nil}}
-	b := map[string]any{"m": []any{true, nil}, "a": "x", "z": 1.0}
-	ea, err := Encode(a)
-	if err != nil {
-		t.Fatal(err)
+	st := NewMemStore()
+	memo := func(name string, v any) Memoized {
+		t.Helper()
+		var got any
+		m, err := Memoize(st, KeyOf([]byte(name)), &got, func() (any, error) { return v, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	eb, err := Encode(b)
-	if err != nil {
-		t.Fatal(err)
+	a := memo("a", map[string]any{"z": 1.0, "a": "x", "m": []any{true, nil}})
+	b := memo("b", map[string]any{"m": []any{true, nil}, "a": "x", "z": 1.0})
+	if a.Target != b.Target {
+		t.Fatalf("map key order leaked into encoding: %s vs %s", a.Target, b.Target)
 	}
-	if !bytes.Equal(ea, eb) {
-		t.Fatalf("map key order leaked into encoding: %s vs %s", ea, eb)
+	var v any
+	hit, err := Memoize(st, KeyOf([]byte("a")), &v, func() (any, error) {
+		t.Fatal("compute ran on a hit")
+		return nil, nil
+	})
+	if err != nil || !hit.Hit {
+		t.Fatalf("recall: %+v, %v", hit, err)
 	}
-	v, err := Decode(ea)
-	if err != nil {
-		t.Fatal(err)
-	}
-	round, err := Encode(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ea, round) {
+	if round := memo("c", v); round.Target != a.Target {
 		t.Fatal("encode/decode/encode not stable")
 	}
 }
@@ -256,7 +261,7 @@ func countingBodies(executed *atomic.Int64) map[string]workflow.StepFunc {
 			executed.Add(1)
 			// Canonical encode keeps the output independent of map
 			// iteration order.
-			enc, _ := Encode(deps)
+			enc, _ := json.Marshal(deps)
 			return fmt.Sprintf("out(%s)<-%s", id, enc), nil
 		}
 	}
@@ -415,8 +420,8 @@ func TestFaultResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := NewJournal(jf)
-	m := &Memo{Store: st, Clock: clock.NewSim(1), Journal: j, RunID: "r1"}
+	j := NewJournal(jf, nil)
+	m := &Memo{Store: st, Clock: clock.NewSim(1), Journal: j}
 	// The chain forces a and b to complete before c faults; d is skipped.
 	out, err := m.Run(context.Background(), wf, bodies, uniform(wf, "v1"))
 	if err == nil {
@@ -458,7 +463,7 @@ func TestFaultResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := &Memo{Store: st2, Clock: clock.NewSim(1), Resume: completed, RunID: "r2"}
+	m2 := &Memo{Store: st2, Clock: clock.NewSim(1), Resume: completed}
 	out2, err := m2.Run(context.Background(), wf, bodies, uniform(wf, "v1"))
 	if err != nil {
 		t.Fatal(err)
@@ -484,7 +489,7 @@ func TestJournalDeterministicUnderSim(t *testing.T) {
 		var executed atomic.Int64
 		wf := diamond()
 		var buf bytes.Buffer
-		m := &Memo{Store: st, Clock: clock.NewSim(7), Journal: NewJournal(&buf), RunID: "r"}
+		m := &Memo{Store: st, Clock: clock.NewSim(7), Journal: NewJournal(&buf, nil)}
 		if _, err := m.Run(context.Background(), wf, countingBodies(&executed), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -546,7 +551,7 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 // that ReadJournal rejects).
 func TestJournalFailingWriter(t *testing.T) {
 	fw := &failingWriter{remaining: 3}
-	j := NewJournal(fw)
+	j := NewJournal(fw, nil)
 	for i := 0; i < 10; i++ {
 		j.Append(Entry{Run: "r", Workflow: "w", Step: fmt.Sprintf("s%d", i), Key: KeyOf([]byte{byte(i)}), Status: StatusExecuted})
 	}
@@ -577,7 +582,7 @@ func TestJournalConcurrentAppendFailingWriter(t *testing.T) {
 		wg.Wait()
 	}
 	fw := &failingWriter{remaining: 5}
-	j := NewJournal(fw)
+	j := NewJournal(fw, nil)
 	appendAll(j)
 	if j.Err() == nil {
 		t.Fatal("write failure not surfaced")
@@ -587,7 +592,7 @@ func TestJournalConcurrentAppendFailingWriter(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	appendAll(NewJournal(&buf))
+	appendAll(NewJournal(&buf, nil))
 	entries, err := ReadJournal(&buf)
 	if err != nil {
 		t.Fatal(err)

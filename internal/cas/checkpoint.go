@@ -18,13 +18,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"strconv"
 	"sync"
 )
 
 // Entry is one journal line: a step that completed (executed, hit, or
 // restored) with the artifact key its result lives under.
 type Entry struct {
-	// Seq is the 1-based append order within this journal instance.
+	// Seq is the 1-based append order within Run, and Run numbers the
+	// journals that appended to one file ("1", "2", …; see OpenJournal).
 	Seq      int        `json:"seq"`
 	Run      string     `json:"run"`
 	Workflow string     `json:"workflow"`
@@ -35,29 +38,65 @@ type Entry struct {
 	AtS float64 `json:"at_s"`
 }
 
-// Journal numbers checkpoint entries and (when constructed with a writer)
-// streams each one as a JSON line immediately on append — a crashed run
-// leaves every completed step on record.
+// Journal numbers checkpoint entries (run and sequence) and (when
+// constructed with a writer) streams each one as a JSON line immediately
+// on append — a crashed run leaves every completed step on record.
 type Journal struct {
 	mu  sync.Mutex
 	w   io.Writer
+	run string
 	seq int   // entries appended so far
 	err error // first write error, surfaced by Err
 }
 
 // NewJournal returns a journal streaming entries to w (nil = entries are
-// numbered and dropped).
-func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
+// stamped and dropped) after the entries prior that w already holds. Its
+// run is one past their highest numeric run (older journals wrote "run"),
+// so no two entries of one stream share a run and a sequence number.
+func NewJournal(w io.Writer, prior []Entry) *Journal {
+	last := 0
+	for _, e := range prior {
+		if n, err := strconv.Atoi(e.Run); err == nil && n > last {
+			last = n
+		}
+	}
+	return &Journal{w: w, run: strconv.Itoa(last + 1)}
+}
 
-// Append records an entry, assigning its sequence number. It is safe for
-// concurrent use. Once a write has failed the underlying stream is suspect
-// (a short write may have torn its last line), so no further bytes are sent
-// to it and the first error stays pinned for Err.
+// OpenJournal opens the journal file at path for appending, creating it
+// when missing, and returns NewJournal(file, prior) with prior, the entries
+// the file holds. A torn last line is cut first, so the next entry cannot
+// turn it into a malformed interior line. A file ReadJournal rejects is an
+// error. The caller closes the file.
+func OpenJournal(path string) (*Journal, *os.File, []Entry, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	data, err := io.ReadAll(f)
+	if cut := bytes.LastIndexByte(data, '\n') + 1; err == nil && cut < len(data) {
+		data, err = data[:cut], f.Truncate(int64(cut))
+	}
+	var prior []Entry
+	if err == nil {
+		prior, err = ReadJournal(bytes.NewReader(data))
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, nil, err
+	}
+	return NewJournal(f, prior), f, prior, nil
+}
+
+// Append records an entry, stamping its run and sequence number. It is
+// safe for concurrent use. Once a write has failed the underlying stream
+// is suspect (a short write may have torn its last line), so no further
+// bytes are sent to it and the first error stays pinned for Err.
 func (j *Journal) Append(e Entry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.seq++
-	e.Seq = j.seq
+	e.Run, e.Seq = j.run, j.seq
 	if j.w == nil || j.err != nil {
 		return
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,7 +25,7 @@ func FuzzReadJournal(f *testing.F) {
 		}
 
 		var buf bytes.Buffer
-		j := NewJournal(&buf)
+		j := NewJournal(&buf, nil)
 		var want []Entry
 		var ends []int // offset just past each entry's closing brace
 		for i, field := range bytes.Split(data, []byte{'\n'}) {
@@ -36,7 +38,6 @@ func FuzzReadJournal(f *testing.F) {
 				at = 0
 			}
 			e := Entry{
-				Run:      "run",
 				Workflow: "fuzz",
 				Step:     strings.ToValidUTF8(string(field), "\uFFFD"),
 				Key:      KeyOf(field),
@@ -44,7 +45,7 @@ func FuzzReadJournal(f *testing.F) {
 				AtS:      at,
 			}
 			j.Append(e)
-			e.Seq = i + 1
+			e.Run, e.Seq = "1", i+1
 			want = append(want, e)
 			ends = append(ends, buf.Len()-1)
 		}
@@ -70,4 +71,67 @@ func FuzzReadJournal(f *testing.F) {
 				cut, buf.Len(), got, whole, want[:whole])
 		}
 	})
+}
+
+// OpenJournal numbers each opening of one file as the next run, counting a
+// legacy run name as none, and rejects a file ReadJournal rejects.
+func TestOpenJournalNumbersRuns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	legacy := `{"seq":1,"run":"run","workflow":"w","step":"a","key":"` + string(KeyOf([]byte("a"))) + `","status":"exec","at_s":0}` + "\n"
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"1", "2", "3"} {
+		j, f, _, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Append(Entry{Workflow: "w", Step: "a", Key: KeyOf([]byte("a")), Status: StatusExecuted})
+		j.Append(Entry{Workflow: "w", Step: "b", Key: KeyOf([]byte("b")), Status: StatusExecuted})
+		f.Close()
+		if err := j.Err(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := ReadJournal(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := entries[len(entries)-2:]
+		if last[0].Run != want || last[1].Run != want || last[0].Seq != 1 || last[1].Seq != 2 {
+			t.Fatalf("opening %s appended %+v", want, last)
+		}
+	}
+	// A torn last line is cut, not glued to the next entry.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-20], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"4", "5"} {
+		j, f, _, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("opening %s after a torn tail: %v", want, err)
+		}
+		j.Append(Entry{Workflow: "w", Step: "c", Key: KeyOf([]byte("c")), Status: StatusExecuted})
+		f.Close()
+	}
+	if raw, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := ReadJournal(bytes.NewReader(raw))
+	if err != nil || len(entries) != 1+3*2-1+2 || entries[len(entries)-1].Run != "5" {
+		t.Fatalf("journal after a torn tail: %d entries, err %v:\n%s", len(entries), err, raw)
+	}
+	if err := os.WriteFile(path, []byte("{\"bad\n"+legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := OpenJournal(path); err == nil {
+		t.Fatal("a journal with a malformed interior line was opened")
+	}
 }

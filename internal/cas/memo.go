@@ -86,7 +86,7 @@ type RunStats struct {
 // RunResult is the outcome of Memo.Run.
 type RunResult struct {
 	// Results mirrors workflow.Run: per-step results keyed by ID.
-	// Values of hit/restored steps are the Decode'd canonical form.
+	// Values of hit/restored steps are the decoded canonical form.
 	Results map[string]workflow.Result
 	// Keys maps every completed step to its artifact key.
 	Keys map[string]Key
@@ -108,8 +108,6 @@ type Memo struct {
 	// Journal, when non-nil, receives one checkpoint entry per completed
 	// step (hit, restored, or executed).
 	Journal *Journal
-	// RunID labels journal entries (defaults to "run").
-	RunID string
 	// Resume maps step IDs to artifact keys recovered from a previous
 	// run's journal (see Completed); listed steps are satisfied directly
 	// from the store without recomputing their memo key.
@@ -119,22 +117,16 @@ type Memo struct {
 // ErrNoStore is returned by Run when the Memo has no Store.
 var ErrNoStore = errors.New("cas: memo has no store")
 
-func (m *Memo) runID() string {
-	if m.RunID == "" {
-		return "run"
-	}
-	return m.RunID
-}
-
 // Run executes wf through workflow.Run with memoization: each step's memo
 // key is derived from (workflow name, step ID, fingerprints[step], dep
-// artifact keys); a key already linked in the store satisfies the step
-// without executing its body. fingerprints may be nil (all bodies
-// fingerprint "").
+// artifact keys), and each step is one Memoize of that key, so a key
+// already linked in the store satisfies the step without executing its
+// body. fingerprints may be nil (all bodies fingerprint "").
 //
-// Step values must round-trip through Encode/Decode (JSON): on a hit the
-// dependents observe the decoded canonical form, so bodies should treat
-// dep values as JSON-shaped data (strings stay strings either way).
+// Step values must round-trip through encoding/json: on a hit the
+// dependents observe the decoded canonical form (string, float64, bool,
+// []any, map[string]any, nil), so bodies should treat dep values as
+// JSON-shaped data (strings stay strings either way).
 //
 // The returned error mirrors workflow.Run; on a mid-run failure the
 // store and journal retain every step that completed, so a subsequent Run
@@ -169,18 +161,17 @@ func (m *Memo) Run(ctx context.Context, wf *workflow.Workflow, bodies map[string
 			for _, dep := range depIDs {
 				depKeys[dep] = out.Keys[dep]
 			}
-			resumeKey, resuming := m.Resume[stepID]
+			var v any
 
 			// Checkpoint resume: the journal of the faulted run already
 			// names this step's artifact.
-			if resuming {
+			if resumeKey, resuming := m.Resume[stepID]; resuming {
 				data, ok, err := m.Store.Get(resumeKey)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
-					v, err := Decode(data)
-					if err != nil {
+					if err := decode(data, &v); err != nil {
 						return nil, err
 					}
 					out.Stats.Restored++
@@ -194,55 +185,31 @@ func (m *Memo) Run(ctx context.Context, wf *workflow.Workflow, bodies map[string
 				// through to the memo path.
 			}
 
-			stepKey := StepKey(wf.Name, stepID, fp, depKeys)
-
-			// Memo hit: key already links to an artifact.
-			if target, ok, err := m.Store.Resolve(stepKey); err != nil {
-				return nil, err
-			} else if ok {
-				data, found, err := m.Store.Get(target)
+			memo, err := Memoize(m.Store, StepKey(wf.Name, stepID, fp, depKeys), &v, func() (any, error) {
+				v, err := body(ctx, deps)
 				if err != nil {
-					return nil, err
+					out.Stats.Misses++
+					out.Stats.Failed++
+					out.Status[stepID] = StatusFailed
 				}
-				if found {
-					v, err := Decode(data)
-					if err != nil {
-						return nil, err
-					}
-					out.Stats.Hits++
-					out.Stats.BytesReused += int64(len(data))
-					out.Status[stepID] = StatusHit
-					out.Keys[stepID] = target
-					m.journalAppend(c, wf.Name, stepID, target, StatusHit)
-					return v, nil
-				}
-			}
-
-			// Miss: execute the body, store the artifact, link the key.
-			v, err := body(ctx, deps)
+				return v, err
+			})
 			if err != nil {
+				return nil, err
+			}
+			st := StatusExecuted
+			if memo.Hit {
+				st = StatusHit
+				out.Stats.Hits++
+				out.Stats.BytesReused += int64(memo.Size)
+			} else {
 				out.Stats.Misses++
-				out.Stats.Failed++
-				out.Status[stepID] = StatusFailed
-				return nil, err
+				out.Stats.Executed++
+				out.Stats.BytesWritten += int64(memo.Size)
 			}
-			data, err := Encode(v)
-			if err != nil {
-				return nil, fmt.Errorf("cas: step %q: %w", stepID, err)
-			}
-			artifact, err := m.Store.Put(data)
-			if err == nil {
-				err = m.Store.Link(stepKey, artifact)
-			}
-			if err != nil {
-				return nil, err
-			}
-			out.Stats.Misses++
-			out.Stats.Executed++
-			out.Stats.BytesWritten += int64(len(data))
-			out.Status[stepID] = StatusExecuted
-			out.Keys[stepID] = artifact
-			m.journalAppend(c, wf.Name, stepID, artifact, StatusExecuted)
+			out.Status[stepID] = st
+			out.Keys[stepID] = memo.Target
+			m.journalAppend(c, wf.Name, stepID, memo.Target, st)
 			return v, nil
 		}
 	}
@@ -264,7 +231,6 @@ func (m *Memo) journalAppend(c clock.Clock, wfName, stepID string, artifact Key,
 		return
 	}
 	m.Journal.Append(Entry{
-		Run:      m.runID(),
 		Workflow: wfName,
 		Step:     stepID,
 		Key:      artifact,

@@ -5,12 +5,14 @@
 // The design follows the provenance-based-reuse literature the paper's
 // orchestration direction points at: Missier et al. key step reuse on
 // hashes of step inputs, and Diercks et al. rate re-execution avoidance as
-// a first-class capability of reproducible workflow tools. Three pieces:
+// a first-class capability of reproducible workflow tools. Four pieces:
 //
 //   - Store (this file): SHA-256-keyed blob storage with an in-memory and
 //     an on-disk backend behind one interface, plus a link table mapping
 //     derived keys (memo keys) to artifact keys. Iteration order is
 //     deterministic (sorted keys) so store dumps are stable artifacts.
+//   - Recall, Remember and Memoize (recall.go): the one memo read path,
+//     write path and JSON memo that every memo in the repository calls.
 //   - Memo (memo.go): caches workflow step results under a key derived
 //     from (workflow name, step ID, body fingerprint, dep-result hashes);
 //     cache hits skip step bodies entirely.
@@ -24,7 +26,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -88,29 +89,6 @@ type Store interface {
 	Links() ([]Key, error)
 	// Bytes returns the total size of all stored blobs.
 	Bytes() (int64, error)
-}
-
-// Encode canonically serializes a step value for storage: compact JSON,
-// which the Go encoder emits with lexicographically sorted map keys — the
-// same value always yields the same bytes, and hence the same content key.
-// Values cached through the memo layer must round-trip through JSON
-// (strings, numbers, bools, slices, and string-keyed maps/structs).
-func Encode(v any) ([]byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("cas: encoding value: %w", err)
-	}
-	return data, nil
-}
-
-// Decode parses bytes produced by Encode back into their generic JSON
-// form (string, float64, bool, []any, map[string]any, nil).
-func Decode(data []byte) (any, error) {
-	var v any
-	if err := json.Unmarshal(data, &v); err != nil {
-		return nil, fmt.Errorf("cas: decoding value: %w", err)
-	}
-	return v, nil
 }
 
 // MemStore is the in-memory Store backend. The zero value is not usable;

@@ -2,7 +2,7 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -109,69 +109,41 @@ func (r *Registry) Run(ctx context.Context, env *Env, name string) (*Result, err
 
 func (r *Registry) run(ctx context.Context, env *Env, e Experiment, fp string, seed int64) (*Result, error) {
 	name := e.Spec.Name
-	var key cas.Key
-	if env.Store != nil {
-		key = cas.StepKey("exp", name, memoKey(fp, seed), nil)
-		if res, ok, err := lookup(env, key, name); err != nil {
-			return nil, err
-		} else if ok {
-			return res, nil
+	compute := func() (Result, error) {
+		res, err := e.Run(ctx, env, e.Spec)
+		if err != nil {
+			return Result{}, fmt.Errorf("exp: %s: %w", name, err)
 		}
+		if res == nil {
+			res = &Result{}
+		}
+		res.Provenance = Provenance{Experiment: name, Fingerprint: fp, Seed: seed}
+		return *res, nil
 	}
-
-	res, err := e.Run(ctx, env, e.Spec)
+	res := new(Result)
+	var m cas.Memoized
+	var err error
+	if env.Store == nil {
+		*res, err = compute()
+	} else {
+		m, err = cas.Memoize(env.Store, cas.StepKey("exp", name, memoKey(fp, seed), nil), res, compute)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", name, err)
+		if ce := (*cas.CodecError)(nil); errors.As(err, &ce) {
+			err = fmt.Errorf("exp: %s: %s result: %w", name, ce.Op, ce.Err)
+		}
+		return nil, err
 	}
-	if res == nil {
-		res = &Result{}
-	}
-	res.Provenance = Provenance{Experiment: name, Fingerprint: fp, Seed: seed}
-
-	if env.Store != nil {
-		data, err := json.Marshal(res)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s: encoding result: %w", name, err)
-		}
-		sp := env.StartSpan("exp.put", name)
-		artifact, err := env.Store.Put(data)
-		if err == nil {
-			err = env.Store.Link(key, artifact)
-		}
-		sp.End(err)
-		if err != nil {
-			return nil, err
-		}
-		if env.Metrics != nil {
+	res.Provenance.Cached = m.Hit
+	if env.Store != nil && env.Metrics != nil {
+		if m.Hit {
+			env.Metrics.Inc("exp.hits", 1)
+		} else {
 			env.Metrics.Inc("exp.misses", 1)
-			env.Metrics.Inc("exp.bytes", int64(len(data)))
+			env.Metrics.Inc("exp.bytes", int64(m.Size))
 		}
 	}
 	return res, nil
-}
-
-// lookup serves a memoized Result from the store, when present.
-func lookup(env *Env, key cas.Key, name string) (*Result, bool, error) {
-	target, ok, err := env.Store.Resolve(key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	sp := env.StartSpan("exp.get", name)
-	data, found, err := env.Store.Get(target)
-	sp.End(err)
-	if err != nil || !found {
-		// A dangling link (artifact evicted) falls back to executing.
-		return nil, false, err
-	}
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, false, fmt.Errorf("exp: %s: decoding cached result: %w", name, err)
-	}
-	res.Provenance.Cached = true
-	if env.Metrics != nil {
-		env.Metrics.Inc("exp.hits", 1)
-	}
-	return &res, true, nil
 }
 
 // RunAll executes every registered experiment in Names() order under one

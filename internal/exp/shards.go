@@ -11,7 +11,7 @@ package exp
 // fold is bit-identical at any par.Workers(n).
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/cas"
@@ -37,9 +37,8 @@ type ShardStats struct {
 
 // MapShards folds the size-entry shards of [0, n) into one aggregate.
 // Shard s covers [s*size, min((s+1)*size, n)). With env.Store set, each
-// shard is first looked up under key(s, lo, hi): a hit decodes the stored
-// JSON aggregate and skips body; a miss or a dangling link runs body and
-// stores its JSON aggregate under that key. The shards run on the env
+// shard is one cas.Memoize of body under key(s, lo, hi), so a hit skips
+// body and two runs sharing a key compute it once. The shards run on the env
 // worker pool at grain 1, each into its own slot of one result slice, and
 // merge then folds the slots into the zero T in shard index order — so the
 // aggregate is bit-identical for any worker count and any cache state even
@@ -51,25 +50,20 @@ func MapShards[T any](env *Env, ns string, n, size int,
 	body func(s, lo, hi int) (T, error),
 	merge func(acc, shard *T)) (*T, ShardStats, error) {
 	type shard struct {
-		agg T
-		hit bool
-		err error
+		agg  T
+		memo cas.Memoized
+		err  error
 	}
 	shards := make([]shard, NumShards(n, size))
 	opts := append(append([]par.Option{}, env.ParOpts()...), par.Grain(1))
 	par.For(len(shards), func(s int) {
 		sh := &shards[s]
 		lo, hi := s*size, min((s+1)*size, n)
-		var k cas.Key
-		if env.Store != nil {
-			k = key(s, lo, hi)
-			if sh.hit, sh.err = lookupShard(env.Store, ns, k, &sh.agg); sh.hit || sh.err != nil {
-				return
-			}
+		if env.Store == nil {
+			sh.agg, sh.err = body(s, lo, hi)
+			return
 		}
-		if sh.agg, sh.err = body(s, lo, hi); sh.err == nil && env.Store != nil {
-			sh.err = storeShard(env.Store, ns, k, &sh.agg)
-		}
+		sh.memo, sh.err = cas.Memoize(env.Store, key(s, lo, hi), &sh.agg, func() (T, error) { return body(s, lo, hi) })
 	}, opts...)
 
 	var acc T
@@ -77,9 +71,12 @@ func MapShards[T any](env *Env, ns string, n, size int,
 	for s := range shards {
 		sh := &shards[s]
 		if sh.err != nil {
+			if ce := (*cas.CodecError)(nil); errors.As(sh.err, &ce) {
+				return nil, ShardStats{}, fmt.Errorf("%s: %s shard: %w", ns, ce.Op, ce.Err)
+			}
 			return nil, ShardStats{}, sh.err
 		}
-		if sh.hit {
+		if sh.memo.Hit {
 			stats.ShardsCached++
 		} else {
 			stats.ShardsExecuted++
@@ -91,35 +88,4 @@ func MapShards[T any](env *Env, ns string, n, size int,
 		env.Metrics.Inc(ns+".shards.hit", int64(stats.ShardsCached))
 	}
 	return &acc, stats, nil
-}
-
-// lookupShard decodes the aggregate linked under key into dst. An absent
-// link is a miss, and so is a dangling one (evicted artifact): the shard
-// executes again.
-func lookupShard[T any](store cas.Store, ns string, key cas.Key, dst *T) (bool, error) {
-	target, ok, err := store.Resolve(key)
-	if err != nil || !ok {
-		return false, err
-	}
-	data, ok, err := store.Get(target)
-	if err != nil || !ok {
-		return false, err
-	}
-	if err := json.Unmarshal(data, dst); err != nil {
-		return false, fmt.Errorf("%s: decoding cached shard: %w", ns, err)
-	}
-	return true, nil
-}
-
-// storeShard memoizes one executed shard aggregate under key.
-func storeShard[T any](store cas.Store, ns string, key cas.Key, agg *T) error {
-	data, err := json.Marshal(agg)
-	if err != nil {
-		return fmt.Errorf("%s: encoding shard: %w", ns, err)
-	}
-	artifact, err := store.Put(data)
-	if err != nil {
-		return err
-	}
-	return store.Link(key, artifact)
 }

@@ -103,13 +103,11 @@ func exportRunpacks(reg *exp.Registry, env *exp.Env, results []*exp.Result, o CL
 	if err := os.MkdirAll(o.Runpack, 0o755); err != nil {
 		return err
 	}
-	jf, err := os.OpenFile(filepath.Join(o.Runpack, "journal.jsonl"),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	journal, jf, _, err := cas.OpenJournal(filepath.Join(o.Runpack, "journal.jsonl"))
 	if err != nil {
 		return err
 	}
 	defer jf.Close()
-	journal := cas.NewJournal(jf)
 	key := runpack.DevKey()
 	for _, res := range results {
 		pack, err := reg.Seal(res, env, key)
@@ -121,7 +119,6 @@ func exportRunpacks(reg *exp.Registry, env *exp.Env, results []*exp.Result, o CL
 			return err
 		}
 		journal.Append(cas.Entry{
-			Run:      "runpack-export",
 			Workflow: "runpack",
 			Step:     res.Provenance.Experiment,
 			Key:      cas.Key(pack.ID),

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 
+	"repro/internal/cas"
 	"repro/internal/clock"
 )
 
@@ -196,47 +198,17 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleArtifact streams one artifact of a completed job straight from the
-// content-addressed store: resolve the link, read the blob — no experiment
-// code runs, warm or cold. 409 before the job completes, 404 for an unknown
-// artifact name, 410 when the link dangles (blob evicted).
+// content-addressed store: no experiment code runs, warm or cold.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	id, name := r.PathValue("id"), r.PathValue("name")
-	j, ok := s.lookupJob(id)
+	target, data, ok := s.fetch(w, id, "artifact", name, func() cas.Key { return artifactLink(id, name) })
 	if !ok {
-		writeError(w, http.StatusNotFound, "no submission %q", id)
-		return
-	}
-	switch s.jobState(j) {
-	case StateDone:
-	case StateFailed:
-		writeError(w, http.StatusConflict, "submission %s failed; no artifacts", id)
-		return
-	default:
-		writeError(w, http.StatusConflict, "submission %s not complete yet", id)
-		return
-	}
-	target, ok, err := s.store.Resolve(artifactLink(id, name))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "resolving artifact: %v", err)
-		return
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, "submission %s has no artifact %q", id, name)
-		return
-	}
-	data, found, err := s.store.Get(target)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reading artifact: %v", err)
-		return
-	}
-	if !found {
-		writeError(w, http.StatusGone, "artifact %q evicted from store", name)
 		return
 	}
 	s.met.Inc("serve.artifact.bytes", int64(len(data)))
 	// The link target is the blob's content address, so the digest header
 	// lets a client integrity-check the body offline. A DiskStore re-hashes
-	// what it reads: bytes that no longer match are the 500 above, never a
+	// what it reads: bytes that no longer match are fetch's 500, never a
 	// body under this header.
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("X-Content-Digest", "sha256:"+string(target))
@@ -246,40 +218,11 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // handleRunpack serves the job's sealed runpack bundle: the canonical
 // manifest, its ed25519 signature, and every artifact blob in one JSON
 // document a client can verify fully offline against PackPublicKey (see
-// cmd/runpack verify -pubkey). Same state machine as artifacts: 409 before
-// completion, 410 when the bundle was evicted from the store.
+// cmd/runpack verify -pubkey).
 func (s *Server) handleRunpack(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := s.lookupJob(id)
+	target, data, ok := s.fetch(w, id, "runpack", "", func() cas.Key { return runpackLink(id) })
 	if !ok {
-		writeError(w, http.StatusNotFound, "no submission %q", id)
-		return
-	}
-	switch s.jobState(j) {
-	case StateDone:
-	case StateFailed:
-		writeError(w, http.StatusConflict, "submission %s failed; no runpack", id)
-		return
-	default:
-		writeError(w, http.StatusConflict, "submission %s not complete yet", id)
-		return
-	}
-	target, ok, err := s.store.Resolve(runpackLink(id))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "resolving runpack: %v", err)
-		return
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, "submission %s has no runpack", id)
-		return
-	}
-	data, found, err := s.store.Get(target)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reading runpack: %v", err)
-		return
-	}
-	if !found {
-		writeError(w, http.StatusGone, "runpack bundle evicted from store")
 		return
 	}
 	s.met.Inc("serve.runpack.bytes", int64(len(data)))
@@ -289,6 +232,47 @@ func (s *Server) handleRunpack(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Runpack-Pubkey", pub)
 	}
 	w.Write(data)
+}
+
+// fetch recalls what done job id published under link. Unless it returns
+// ok it has answered: 404 for an unknown job or an absent link, 409 before
+// the job completes or when it failed, 410 when the link dangles (blob
+// evicted), 500 on a store error. what and name (may be empty) name the
+// blob in those answers.
+func (s *Server) fetch(w http.ResponseWriter, id, what, name string, link func() cas.Key) (cas.Key, []byte, bool) {
+	j, ok := s.lookupJob(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no submission %q", id)
+		return "", nil, false
+	}
+	s.mu.Lock()
+	state := j.state
+	s.mu.Unlock()
+	switch state {
+	case StateDone:
+	case StateFailed:
+		writeError(w, http.StatusConflict, "submission %s failed; no %s", id, what)
+		return "", nil, false
+	default:
+		writeError(w, http.StatusConflict, "submission %s not complete yet", id)
+		return "", nil, false
+	}
+	target, data, found, err := cas.Recall(s.store, link())
+	if found {
+		return target, data, true
+	}
+	if name != "" {
+		what += " " + strconv.Quote(name)
+	}
+	switch {
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "reading %s: %v", what, err)
+	case target != "":
+		writeError(w, http.StatusGone, "%s evicted from store", what)
+	default:
+		writeError(w, http.StatusNotFound, "submission %s has no %s", id, what)
+	}
+	return "", nil, false
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -345,12 +345,8 @@ func (s *Server) publishArtifacts(jobID string, res *exp.Result) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		key, err := s.store.Put([]byte(res.Artifacts[name]))
-		if err != nil {
+		if _, err := cas.Remember(s.store, artifactLink(jobID, name), []byte(res.Artifacts[name])); err != nil {
 			return fmt.Errorf("serve: storing artifact %q: %w", name, err)
-		}
-		if err := s.store.Link(artifactLink(jobID, name), key); err != nil {
-			return fmt.Errorf("serve: linking artifact %q: %w", name, err)
 		}
 	}
 	return nil
@@ -369,12 +365,8 @@ func (s *Server) publishRunpack(jobID string, res *exp.Result, env *exp.Env) err
 	if err != nil {
 		return fmt.Errorf("serve: encoding runpack bundle: %w", err)
 	}
-	key, err := s.store.Put(data)
-	if err != nil {
+	if _, err := cas.Remember(s.store, runpackLink(jobID), data); err != nil {
 		return fmt.Errorf("serve: storing runpack bundle: %w", err)
-	}
-	if err := s.store.Link(runpackLink(jobID), key); err != nil {
-		return fmt.Errorf("serve: linking runpack bundle: %w", err)
 	}
 	return nil
 }
@@ -399,13 +391,6 @@ func (s *Server) lookupJob(id string) (*job, bool) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	return j, ok
-}
-
-// jobState reads a job's state under the lock.
-func (s *Server) jobState(j *job) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return j.state
 }
 
 // recordLatency accumulates a modeled request latency for LatencySummary

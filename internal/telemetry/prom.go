@@ -32,11 +32,11 @@ func (r *Registry) PromText() string {
 	}
 	series := make(map[string][]float64, len(r.series))
 	for k, s := range r.series {
-		// values copies the visible window into a private slice: the sort
-		// below must never touch the registry's backing array, or rendering
+		// Copy the visible window into a private slice: the sort below
+		// must never touch the registry's backing array, or rendering
 		// metrics would silently reorder the observation history every
-		// caller after the first sees.
-		series[k] = values(r.window(s))
+		// caller after the first sees (TestPromTextDoesNotMutate).
+		series[k] = append([]float64(nil), tail(s, seriesCap)...)
 	}
 	r.mu.Unlock()
 

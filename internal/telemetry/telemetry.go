@@ -11,7 +11,7 @@
 //
 // Well-known instrument names: the experiment registry (internal/exp)
 // counts its whole-result memo as exp.hits / exp.misses / exp.bytes with
-// exp.run / exp.get / exp.put spans, and its sharded executor counts
+// one exp.run span per run, and its sharded executor counts
 // <ns>.shards.hit / <ns>.shards.exec (report.shards.*, corpus.shards.*,
 // scengen.shards.*), so cache behaviour lands in the same canonical
 // expositions as everything else.
@@ -23,6 +23,13 @@ import (
 	"repro/internal/clock"
 )
 
+const (
+	// seriesCap bounds the samples kept per series (oldest dropped).
+	seriesCap = 4096
+	// spanCap bounds the trace records kept (oldest dropped).
+	spanCap = 4096
+)
+
 // Registry holds named metrics. The zero value is not usable; call
 // NewWithClock.
 type Registry struct {
@@ -31,24 +38,18 @@ type Registry struct {
 	gauges   map[string]float64
 	series   map[string][]float64
 	spans    []Span
-	// SeriesCap bounds the samples kept per series (oldest dropped).
-	SeriesCap int
-	// SpanCap bounds the trace records kept (oldest dropped).
-	SpanCap int
 }
 
-// NewWithClock returns an empty registry keeping up to 4096 samples per
-// series and 4096 spans. The registry stamps no update itself: span times
-// come from the clock given to StartSpan, so the clock argument is unused
-// and stays only so that callers building a registry beside their clock
-// keep compiling.
+// NewWithClock returns an empty registry keeping up to seriesCap samples
+// per series and spanCap spans. The registry stamps no update itself: span
+// times come from the clock given to StartSpan, so the clock argument is
+// unused and stays only so that callers building a registry beside their
+// clock keep compiling.
 func NewWithClock(clock.Clock) *Registry {
 	return &Registry{
-		counters:  map[string]int64{},
-		gauges:    map[string]float64{},
-		series:    map[string][]float64{},
-		SeriesCap: 4096,
-		SpanCap:   4096,
+		counters: map[string]int64{},
+		gauges:   map[string]float64{},
+		series:   map[string][]float64{},
 	}
 }
 
@@ -85,50 +86,31 @@ func (r *Registry) DeclareSeries(name string) {
 	}
 }
 
-// Observe appends a sample to a series (e.g. a latency). Appending is amortized O(1): the backing slice may grow to
-// twice SeriesCap before the window is copied down in one step, so a
-// million-observation stream (the serve load generator) costs one slot write
-// per sample instead of an O(SeriesCap) shift on every overflowing append.
-// Readers never see the slack — every accessor goes through window, which
-// exposes only the trailing SeriesCap samples.
+// Observe appends a sample to a series (e.g. a latency), keeping the last
+// seriesCap.
 func (r *Registry) Observe(name string, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := append(r.series[name], v)
-	if r.SeriesCap > 0 && len(s) >= 2*r.SeriesCap {
-		if cap(s) > 4*r.SeriesCap {
-			// Oversized backing array (e.g. SeriesCap was lowered after
-			// samples accumulated): copy into a fresh slice so the old
-			// array can be collected instead of being pinned by a
-			// re-slice forever.
-			fresh := make([]float64, r.SeriesCap)
-			copy(fresh, s[len(s)-r.SeriesCap:])
-			s = fresh
-		} else {
-			// Shift the window down in place: one O(SeriesCap) copy per
-			// SeriesCap appends, no allocation.
-			copy(s, s[len(s)-r.SeriesCap:])
-			s = s[:r.SeriesCap]
-		}
-	}
-	r.series[name] = s
+	r.series[name] = trim(append(r.series[name], v), seriesCap)
 }
 
-// window returns the visible tail of a bounded series: the most recent
-// SeriesCap samples. The amortized trim in Observe can leave up to one extra
-// window of dropped samples in the backing array; every reader routes
-// through here so that slack is never observable. Callers hold r.mu.
-func (r *Registry) window(s []float64) []float64 {
-	if r.SeriesCap > 0 && len(s) > r.SeriesCap {
-		return s[len(s)-r.SeriesCap:]
+// trim bounds s to a window of its last n elements, amortized O(1) per
+// append: s grows to twice n before one in-place copy shifts the window
+// down, so a million-sample stream (the serve load generator) costs one
+// slot write per sample and no allocation once grown. Readers go through
+// tail, so the dropped slack is never observable.
+func trim[E any](s []E, n int) []E {
+	if len(s) >= 2*n {
+		copy(s, s[len(s)-n:])
+		s = s[:n]
 	}
 	return s
 }
 
-// values copies the sample values of a series into a fresh slice. Callers
-// hold r.mu. The copy is load-bearing: PromText sorts what it receives, and
-// handing it the live backing array would silently reorder the registry's
-// observation history (the aliasing bug pinned by TestPromTextDoesNotMutate).
-func values(s []float64) []float64 {
-	return append([]float64(nil), s...)
+// tail returns the visible window of a trimmed slice: its last n elements.
+func tail[E any](s []E, n int) []E {
+	if len(s) > n {
+		return s[len(s)-n:]
+	}
+	return s
 }

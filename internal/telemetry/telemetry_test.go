@@ -28,12 +28,11 @@ func TestCountersAndGauges(t *testing.T) {
 
 func TestSeriesCap(t *testing.T) {
 	r := NewWithClock(clock.NewSim(1))
-	r.SeriesCap = 10
-	for i := 0; i < 100; i++ {
+	for i := 0; i < seriesCap+90; i++ {
 		r.Observe("s", float64(i))
 	}
-	if vs := seriesValues(r, "s"); len(vs) != 10 || vs[0] != 90 {
-		t.Errorf("cap not applied: %v", vs)
+	if vs := seriesValues(r, "s"); len(vs) != seriesCap || vs[0] != 90 {
+		t.Errorf("cap not applied: %d values from %v", len(vs), vs[0])
 	}
 }
 
@@ -61,10 +60,9 @@ func TestConcurrentSafety(t *testing.T) {
 // Regression: trimming must not retain the grown backing array. The
 // capacity of a capped series stays bounded (the amortized trim allows up to
 // one hidden window of slack) no matter how many samples stream through, and
-// readers only ever see the trailing SeriesCap samples.
+// readers only ever see the trailing seriesCap samples.
 func TestSeriesCapacityBounded(t *testing.T) {
 	r := NewWithClock(clock.NewSim(1))
-	r.SeriesCap = 64
 	for i := 0; i < 100_000; i++ {
 		r.Observe("s", float64(i))
 	}
@@ -72,25 +70,24 @@ func TestSeriesCapacityBounded(t *testing.T) {
 	c := cap(r.series["s"])
 	n := len(r.series["s"])
 	r.mu.Unlock()
-	if n >= 2*r.SeriesCap {
-		t.Errorf("len = %d, want < %d (amortized trim never ran)", n, 2*r.SeriesCap)
+	if n >= 2*seriesCap {
+		t.Errorf("len = %d, want < %d (amortized trim never ran)", n, 2*seriesCap)
 	}
-	if c > 4*r.SeriesCap {
-		t.Errorf("cap = %d, want <= %d (backing array retained)", c, 4*r.SeriesCap)
+	if c > 4*seriesCap {
+		t.Errorf("cap = %d, want <= %d (backing array retained)", c, 4*seriesCap)
 	}
 	vs := seriesValues(r, "s")
-	if len(vs) != 64 || vs[0] != 100_000-64 || vs[63] != 99_999 {
-		t.Errorf("visible window = %d values from %v, want the last 64 samples", len(vs), vs[0])
+	if len(vs) != seriesCap || vs[0] != 100_000-seriesCap || vs[seriesCap-1] != 99_999 {
+		t.Errorf("visible window = %d values from %v, want the last %d samples", len(vs), vs[0], seriesCap)
 	}
 }
 
-// The amortized trim must cost O(1) per observation, not O(SeriesCap): a
+// The amortized trim must cost O(1) per observation, not O(seriesCap): a
 // million observations into a capped series amortize to one window copy per
-// SeriesCap appends. This is what makes per-request latency series viable
+// seriesCap appends. This is what makes per-request latency series viable
 // on the serve hot path.
 func TestObserveAmortizedTrim(t *testing.T) {
 	r := NewWithClock(clock.NewSim(1))
-	r.SeriesCap = 4096
 	// Warm past the first overflow, then measure: if every append shifted
 	// the full window (the old behaviour), 200k observations would copy
 	// ~3 GB and this test would crawl; the real assertion is the window
@@ -109,35 +106,18 @@ func TestObserveAmortizedTrim(t *testing.T) {
 	}
 }
 
-// Lowering SeriesCap after samples accumulated releases the oversized
-// backing array on the next trim.
-func TestSeriesCapShrinkReleasesArray(t *testing.T) {
-	r := NewWithClock(clock.NewSim(1))
-	r.SeriesCap = 4096
-	for i := 0; i < 4096; i++ {
-		r.Observe("s", float64(i))
-	}
-	r.SeriesCap = 16
-	r.Observe("s", -1)
-	r.mu.Lock()
-	c := cap(r.series["s"])
-	r.mu.Unlock()
-	if c > 32 {
-		t.Errorf("cap = %d after shrink, want <= 32", c)
-	}
-	vs := seriesValues(r, "s")
-	if len(vs) != 16 || vs[0] != 4081 || vs[15] != -1 {
-		t.Errorf("window after shrink = %v", vs)
-	}
-}
-
-// Race-detector hammer: every public entry point concurrently.
+// Race-detector hammer: every public entry point concurrently. The series
+// and the spans start just short of their first trim, so the hammer trims
+// both while readers run.
 func TestRegistryRaceHammer(t *testing.T) {
 	sim := clock.NewSim(1)
 	r := NewWithClock(sim)
-	r.SeriesCap = 32
-	r.SpanCap = 32
-	r.DeclareSeries("lat")
+	for i := 0; i < 2*seriesCap-32; i++ {
+		r.Observe("lat", float64(i))
+	}
+	for i := 0; i < 2*spanCap-32; i++ {
+		r.StartSpan(sim, "fill", "span").End(nil)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -175,5 +155,5 @@ func TestRegistryRaceHammer(t *testing.T) {
 func seriesValues(r *Registry, name string) []float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return values(r.window(r.series[name]))
+	return append([]float64(nil), tail(r.series[name], seriesCap)...)
 }

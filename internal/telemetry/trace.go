@@ -23,26 +23,12 @@ type Span struct {
 	Err string
 }
 
-// RecordSpan appends a finished span to the registry, dropping the oldest
-// when SpanCap is exceeded (same amortized bounded-window policy as series:
-// the slice may grow to twice SpanCap before one copy-down, so per-request
-// spans on the serve hot path cost O(1) amortized, and Spans windows the
-// tail so the slack is never visible).
+// RecordSpan appends a finished span to the registry, keeping the last
+// spanCap (trim's amortized window, as for series).
 func (r *Registry) RecordSpan(sp Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := append(r.spans, sp)
-	if r.SpanCap > 0 && len(s) >= 2*r.SpanCap {
-		if cap(s) > 4*r.SpanCap {
-			fresh := make([]Span, r.SpanCap)
-			copy(fresh, s[len(s)-r.SpanCap:])
-			s = fresh
-		} else {
-			copy(s, s[len(s)-r.SpanCap:])
-			s = s[:r.SpanCap]
-		}
-	}
-	r.spans = s
+	r.spans = trim(append(r.spans, sp), spanCap)
 }
 
 // ActiveSpan is an in-flight span returned by StartSpan.
@@ -68,17 +54,13 @@ func (a *ActiveSpan) End(err error) {
 	a.r.RecordSpan(a.sp)
 }
 
-// Spans returns the retained trace records — the most recent SpanCap —
+// Spans returns the retained trace records — the most recent spanCap —
 // sorted by (Start, Kind, Name, End): a canonical order independent of the
 // (possibly concurrent) recording order, so renderings of the same span
 // multiset are identical.
 func (r *Registry) Spans() []Span {
 	r.mu.Lock()
-	window := r.spans
-	if r.SpanCap > 0 && len(window) > r.SpanCap {
-		window = window[len(window)-r.SpanCap:]
-	}
-	out := append([]Span(nil), window...)
+	out := append([]Span(nil), tail(r.spans, spanCap)...)
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

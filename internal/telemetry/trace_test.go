@@ -51,23 +51,23 @@ func TestSpansCanonicalOrder(t *testing.T) {
 
 func TestSpanCapBounded(t *testing.T) {
 	r := NewWithClock(clock.NewSim(1))
-	r.SpanCap = 8
-	for i := 0; i < 100; i++ {
+	const total = 2*spanCap + 92
+	for i := 0; i < total; i++ {
 		r.RecordSpan(Span{Kind: "k", Name: "n", Start: clock.FromSeconds(float64(i)), End: clock.FromSeconds(float64(i) + 1)})
 	}
-	if got := len(r.Spans()); got != 8 {
-		t.Errorf("spans retained = %d, want 8", got)
+	if got := len(r.Spans()); got != spanCap {
+		t.Errorf("spans retained = %d, want %d", got, spanCap)
 	}
 	r.mu.Lock()
 	c := cap(r.spans)
 	r.mu.Unlock()
 	// The amortized trim allows up to one hidden window of slack beyond the
-	// visible SpanCap spans.
-	if c > 4*r.SpanCap {
-		t.Errorf("span capacity %d exceeds bound %d", c, 4*r.SpanCap)
+	// visible spanCap spans.
+	if c > 4*spanCap {
+		t.Errorf("span capacity %d exceeds bound %d", c, 4*spanCap)
 	}
-	// Oldest dropped: the first retained span starts at t=92.
-	if got := clock.Seconds(r.Spans()[0].Start); got != 92 {
-		t.Errorf("first retained span at %v", got)
+	// Oldest dropped: the first retained span is the spanCap-th from the end.
+	if got := clock.Seconds(r.Spans()[0].Start); got != total-spanCap {
+		t.Errorf("first retained span at %v, want %d", got, total-spanCap)
 	}
 }
