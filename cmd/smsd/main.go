@@ -8,7 +8,6 @@
 //	smsd                               # daemon on :8347 (wall clock)
 //	smsd -addr :9000 -workers 8        # tune listener and pool
 //	smsd -store .smsd                  # persist results/artifacts on disk
-//	smsd -list                         # list the registered experiments
 //	smsd -loadtest 1000000             # deterministic in-process load replay
 //	smsd -loadtest 50000 -lt-names continuum/io,continuum/energy
 //
@@ -19,8 +18,6 @@
 //	GET  /experiments/{id}                     poll status
 //	GET  /experiments/{id}/artifacts/{name}    stream one artifact
 //	GET  /experiments/{id}/runpack             sealed, signed runpack bundle
-//	GET  /families                             list generated scengen families
-//	POST /families/{name}                      submit one family sweep {"seed": 7}
 //	GET  /metrics                              Prometheus text exposition
 //
 // -loadtest runs the internal/serve/loadgen replay instead of listening:
@@ -62,7 +59,6 @@ func run(args []string, stdout io.Writer) error {
 		seed     = fs.Int64("seed", 1, "default root seed for submissions that omit one")
 		workers  = fs.Int("workers", 4, "execution pool size (results are identical for any value)")
 		queue    = fs.Int("queue", 64, "admission queue depth (full queue answers 429)")
-		list     = fs.Bool("list", false, "list every registered experiment and exit")
 		loadtest = fs.Int("loadtest", 0, "replay N synthetic requests in-process on a simulated clock and print the deterministic report (no listener)")
 		ltNames  = fs.String("lt-names", "", "with -loadtest: comma-separated experiment names (default: whole registry)")
 	)
@@ -74,14 +70,6 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *list {
-		for _, e := range reg.Experiments() {
-			fmt.Fprintf(stdout, "%-34s %s\n", e.Spec.Name, e.Desc)
-		}
-		fmt.Fprintf(stdout, "\n%d experiments (POST /experiments {\"name\": ...} to run one)\n", reg.Len())
-		return nil
-	}
-
 	var store cas.Store
 	if *storeDir != "" {
 		store, err = cas.NewDiskStore(*storeDir)

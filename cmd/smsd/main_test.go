@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-func TestListContainsRegistry(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-list"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"continuum/faas", "continuum/io", "report.full", "experiments (POST /experiments"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-list missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // The loadtest report is a deterministic artifact: identical bytes across
 // repeated runs and across worker counts, down to the sha256 of the final
 // /metrics exposition.

@@ -60,7 +60,6 @@ func run(args []string, stdout io.Writer) error {
 		runExp      = fs.String("run", "", "run one registered experiment by name (\"all\" = whole registry)")
 		jsonOut     = fs.Bool("json", false, "with -run: emit the experiment Result as JSON")
 		seed        = fs.Int64("seed", 1, "with -run: root experiment seed")
-		runpackDir  = fs.String("runpack", "", "with -run: seal each executed experiment into a signed runpack under this directory (cmd/runpack verifies)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -117,7 +116,7 @@ func run(args []string, stdout io.Writer) error {
 
 	cliOpts := experiments.CLIOptions{
 		List: *listExp, Run: *runExp, JSON: *jsonOut,
-		Seed: *seed, Workers: *workers, Cache: *cacheDir, Runpack: *runpackDir,
+		Seed: *seed, Workers: *workers, Cache: *cacheDir,
 	}
 	if cliOpts.Active() {
 		reg, err := experiments.New(study)

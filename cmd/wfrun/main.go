@@ -5,9 +5,10 @@
 //
 // With -store it instead *executes* the workflow through the
 // content-addressed artifact store (internal/cas): step results are
-// memoized on (workflow, step, body fingerprint, dep hashes), a checkpoint
-// journal records completed steps, and -resume replays only the steps that
-// had not completed after a fault.
+// memoized on (workflow, step, body fingerprint, dep hashes), and a journal
+// in the store directory records each step's outcome. After a fault, a
+// re-run over the same store is the resume: the steps that completed are
+// memo hits, and only the rest execute.
 //
 // Usage:
 //
@@ -18,9 +19,7 @@
 //	wfrun -demo -store .wfcache               # memoized execution (cold)
 //	wfrun -demo -store .wfcache -cache-stats  # …again: every step hits
 //	wfrun -demo -store .wfcache -fail-step train   # inject a fault mid-run
-//	wfrun -demo -store .wfcache -resume       # replay only incomplete steps
-//	wfrun -list                               # list registered experiments
-//	wfrun -run sweep/faults                   # run one experiment
+//	wfrun -demo -store .wfcache               # re-run: executes only what is left
 package main
 
 import (
@@ -41,7 +40,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/clock"
 	"repro/internal/continuum"
-	"repro/internal/experiments"
 	"repro/internal/orchestrator"
 	"repro/internal/workflow"
 )
@@ -74,15 +72,9 @@ func run(args []string, out io.Writer) error {
 		compare    = fs.Bool("compare", false, "simulate every built-in policy and rank by makespan")
 		demo       = fs.Bool("demo", false, "use the built-in demo blueprint")
 		seed       = fs.Int64("seed", 1, "seed for the random policy and the simulated clock")
-		storeDir   = fs.String("store", "", "content-addressed artifact store directory: execute the workflow with step memoization and checkpointing (internal/cas)")
-		resume     = fs.Bool("resume", false, "resume from the store's checkpoint journal, replaying only steps that had not completed (requires -store)")
+		storeDir   = fs.String("store", "", "content-addressed artifact store directory: execute the workflow with step memoization and a step journal (internal/cas)")
 		cacheStats = fs.Bool("cache-stats", false, "print cache hit/miss and store statistics after a -store execution")
-		failStep   = fs.String("fail-step", "", "inject a failure into this step during a -store execution (checkpoint/resume demo)")
-		listExp    = fs.Bool("list", false, "list every registered experiment and exit")
-		runExp     = fs.String("run", "", "run one registered experiment by name (\"all\" = whole registry)")
-		jsonOut    = fs.Bool("json", false, "with -run: emit the experiment Result as JSON")
-		workers    = fs.Int("workers", 0, "with -run: bound the experiment worker pool (0 = default; results identical for any value)")
-		runpackDir = fs.String("runpack", "", "with -run: seal each executed experiment into a signed runpack under this directory (cmd/runpack verifies)")
+		failStep   = fs.String("fail-step", "", "inject a failure into this step during a -store execution (a re-run over the same store resumes)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof allocation profile after the run to this file")
 	)
@@ -114,19 +106,8 @@ func run(args []string, out io.Writer) error {
 			}
 		}()
 	}
-	cliOpts := experiments.CLIOptions{
-		List: *listExp, Run: *runExp, JSON: *jsonOut,
-		Seed: *seed, Workers: *workers, Cache: *storeDir, Runpack: *runpackDir,
-	}
-	if cliOpts.Active() {
-		reg, err := experiments.Default()
-		if err != nil {
-			return err
-		}
-		return experiments.RunCLI(reg, cliOpts, out)
-	}
-	if (*resume || *cacheStats || *failStep != "") && *storeDir == "" {
-		return fmt.Errorf("-resume, -cache-stats and -fail-step require -store DIR")
+	if (*cacheStats || *failStep != "") && *storeDir == "" {
+		return fmt.Errorf("-cache-stats and -fail-step require -store DIR")
 	}
 	if *storeDir != "" && *compare {
 		return fmt.Errorf("-store (execution) and -compare (simulation) are mutually exclusive")
@@ -184,7 +165,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *storeDir != "" {
-		return execute(out, wf, *storeDir, *resume, *cacheStats, *failStep, *seed)
+		return execute(out, wf, *storeDir, *cacheStats, *failStep, *seed)
 	}
 	pol, err := bp.Policy()
 	if err != nil {
@@ -226,33 +207,22 @@ func bodyFingerprint(s *workflow.Step) string {
 // execute runs the compiled workflow through the content-addressed store:
 // synthetic deterministic step bodies (each step's artifact derives from
 // its parameters and its dependencies' artifacts), memoized on internal/cas
-// with a checkpoint journal in the store directory. Everything runs on a
-// clock.Sim seeded with seed — each executed step advances simulated time
-// by 1 ms per GFlop — so the output, the journal, and the store contents
-// are byte-identical across machines and runs.
-func execute(out io.Writer, wf *workflow.Workflow, storeDir string, resume, cacheStats bool, failStep string, seed int64) error {
+// with a journal of step outcomes in the store directory. Everything runs
+// on a clock.Sim seeded with seed — each executed step advances simulated
+// time by 1 ms per GFlop — so the output, the journal, and the store
+// contents are byte-identical across machines and runs.
+func execute(out io.Writer, wf *workflow.Workflow, storeDir string, cacheStats bool, failStep string, seed int64) error {
 	store, err := cas.NewDiskStore(storeDir)
 	if err != nil {
 		return err
 	}
 	sim := clock.NewSim(seed)
 
-	// -resume takes its set from the runs already in the journal.
-	journalPath := filepath.Join(storeDir, "journal.jsonl")
-	if resume {
-		if _, err := os.Stat(journalPath); err != nil {
-			return fmt.Errorf("no checkpoint journal to resume from: %w", err)
-		}
-	}
-	journal, jf, prior, err := cas.OpenJournal(journalPath)
+	journal, jf, _, err := cas.OpenJournal(filepath.Join(storeDir, "journal.jsonl"))
 	if err != nil {
 		return err
 	}
 	defer jf.Close()
-	var completed map[string]cas.Key
-	if resume {
-		completed = cas.Completed(prior, wf.Name)
-	}
 
 	bodies := map[string]workflow.StepFunc{}
 	fingerprints := map[string]string{}
@@ -278,18 +248,13 @@ func execute(out io.Writer, wf *workflow.Workflow, storeDir string, resume, cach
 		Store:   store,
 		Clock:   sim,
 		Journal: journal,
-		Resume:  completed,
 	}
 	res, runErr := memo.Run(context.Background(), wf, bodies, fingerprints)
 	if jerr := journal.Err(); jerr != nil {
 		return jerr
 	}
 
-	mode := "memoized execution"
-	if resume {
-		mode = "resumed execution"
-	}
-	fmt.Fprintf(out, "Blueprint %s: %s (%d steps)\n\n", wf.Name, mode, wf.Len())
+	fmt.Fprintf(out, "Blueprint %s: memoized execution (%d steps)\n\n", wf.Name, wf.Len())
 	fmt.Fprintf(out, "%-12s %-8s %s\n", "step", "status", "artifact")
 	topo, err := wf.TopoOrder()
 	if err != nil {
@@ -302,9 +267,8 @@ func execute(out io.Writer, wf *workflow.Workflow, storeDir string, resume, cach
 		}
 		fmt.Fprintf(out, "%-12s %-8s %s\n", id, res.Status[id], key)
 	}
-	fmt.Fprintf(out, "\nsimulated time %.3fs | executed %d | cached %d | restored %d | skipped %d\n",
-		clock.Seconds(sim.Now()), res.Stats.Executed, res.Stats.Hits, res.Stats.Restored,
-		res.Stats.Skipped+res.Stats.Failed)
+	fmt.Fprintf(out, "\nsimulated time %.3fs | executed %d | cached %d | skipped %d\n",
+		clock.Seconds(sim.Now()), res.Stats.Executed, res.Stats.Hits, res.Stats.Skipped+res.Stats.Failed)
 
 	if cacheStats {
 		objects, err := store.Keys()
@@ -320,11 +284,11 @@ func execute(out io.Writer, wf *workflow.Workflow, storeDir string, resume, cach
 			return err
 		}
 		fmt.Fprintf(out, "cache: hits=%d misses=%d bytes-written=%d bytes-reused=%d\n",
-			res.Stats.Hits+res.Stats.Restored, res.Stats.Misses, res.Stats.BytesWritten, res.Stats.BytesReused)
+			res.Stats.Hits, res.Stats.Misses, res.Stats.BytesWritten, res.Stats.BytesReused)
 		fmt.Fprintf(out, "store: %d objects (%d B), %d memo links\n", len(objects), bytes, len(links))
 	}
 	if runErr != nil {
-		return fmt.Errorf("execution failed (completed steps are checkpointed; re-run with -resume): %w", runErr)
+		return fmt.Errorf("execution failed (completed steps are stored; a re-run executes only the rest): %w", runErr)
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cas"
-	"repro/internal/experiments"
 )
 
 func TestDemoRun(t *testing.T) {
@@ -100,7 +99,7 @@ func TestDemoGolden(t *testing.T) {
 
 // TestExecGolden pins the end-to-end memoized execution lifecycle under
 // clock.Sim: cold build, warm rebuild (all hits, zero simulated seconds),
-// mid-run fault, and resume replaying only the incomplete steps.
+// mid-run fault, and a re-run that executes only the incomplete steps.
 func TestExecGolden(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "store")
 	capture := func(wantErr bool, args ...string) string {
@@ -125,15 +124,15 @@ func TestExecGolden(t *testing.T) {
 		t.Errorf("warm exec drifted:\n--- got ---\n%s--- want ---\n%s", warm, want)
 	}
 
-	// Fresh store: fault at train, then resume.
+	// Fresh store: fault at train, then re-run.
 	store2 := filepath.Join(t.TempDir(), "store2")
 	fail := capture(true, "-demo", "-store", store2, "-fail-step", "train", "-cache-stats")
 	if want := readGolden(t, "exec_fail.golden"); fail != want {
 		t.Errorf("faulted exec drifted:\n--- got ---\n%s--- want ---\n%s", fail, want)
 	}
-	res := capture(false, "-demo", "-store", store2, "-resume", "-cache-stats")
+	res := capture(false, "-demo", "-store", store2, "-cache-stats")
 	if want := readGolden(t, "exec_resume.golden"); res != want {
-		t.Errorf("resumed exec drifted:\n--- got ---\n%s--- want ---\n%s", res, want)
+		t.Errorf("re-run after the fault drifted:\n--- got ---\n%s--- want ---\n%s", res, want)
 	}
 }
 
@@ -141,8 +140,8 @@ func TestExecGolden(t *testing.T) {
 // are independent of each other (ingest → a, b, c, d → join), each run in a
 // fresh store. Every run must print the same bytes and write the same
 // journal, with the steps in topological order; a fault at b must stop the
-// run at b every time, and a resume must execute exactly the steps the
-// fault left undone.
+// run at b every time, and a re-run over the same store must execute
+// exactly the steps the fault left undone.
 func TestExecDiamondDeterministic(t *testing.T) {
 	const runs = 20
 	blueprint := filepath.Join("testdata", "diamond.json")
@@ -209,16 +208,16 @@ func TestExecDiamondDeterministic(t *testing.T) {
 		}
 		same("fail-step b", failed, got, i)
 
-		got = exec(store, false, "-resume")
+		got = exec(store, false)
 		if i == 0 {
 			resumed = got
-			check("resume", got, []string{"restore", "restore", "exec", "exec", "exec", "exec"},
-				[]string{"ingest:exec", "a:exec", "ingest:restore", "a:restore", "b:exec", "c:exec", "d:exec", "join:exec"})
-			if !strings.Contains(got.stdout, "| executed 4 | cached 0 | restored 2 | skipped 0") {
-				t.Errorf("resume did not execute exactly b, c, d and join:\n%s", got.stdout)
+			check("re-run", got, []string{"hit", "hit", "exec", "exec", "exec", "exec"},
+				[]string{"ingest:exec", "a:exec", "ingest:hit", "a:hit", "b:exec", "c:exec", "d:exec", "join:exec"})
+			if !strings.Contains(got.stdout, "| executed 4 | cached 2 | skipped 0") {
+				t.Errorf("re-run did not execute exactly b, c, d and join:\n%s", got.stdout)
 			}
 			// Each execution is its own run: the faulted one is run 1 and
-			// the resume run 2, so no two entries share a run and a seq.
+			// the re-run run 2, so no two entries share a run and a seq.
 			entries, err := cas.ReadJournal(strings.NewReader(got.journal))
 			if err != nil {
 				t.Fatal(err)
@@ -235,52 +234,81 @@ func TestExecDiamondDeterministic(t *testing.T) {
 				t.Errorf("journal runs %q to %q, want 1 to 2:\n%s", first.Run, last.Run, got.journal)
 			}
 		}
-		same("resume", resumed, got, i)
+		same("re-run", resumed, got, i)
+	}
+}
+
+// A re-run after a fault serves no stale step: when the blueprint changes
+// between the faulted run and the re-run, the steps whose inputs changed
+// execute again, and every key equals the one a fresh store computes.
+func TestExecRerunAfterEdit(t *testing.T) {
+	orig, err := os.ReadFile(filepath.Join("testdata", "diamond.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(orig), `"name": "a", "type": "job", "gflop": 100`, `"name": "a", "type": "job", "gflop": 150`, 1)
+	if edited == string(orig) {
+		t.Fatal("diamond.json no longer has step a at 100 gflop")
+	}
+	dir := t.TempDir()
+	bp := filepath.Join(dir, "diamond.json")
+	if err := os.WriteFile(bp, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// lastRun runs args and returns the journal entries of the store's last
+	// run, by step.
+	lastRun := func(store string, wantErr bool, args ...string) map[string]cas.Entry {
+		t.Helper()
+		var sb strings.Builder
+		if err := run(args, &sb); (err != nil) != wantErr {
+			t.Fatalf("run(%v): err = %v, want error %v", args, err, wantErr)
+		}
+		f, err := os.Open(filepath.Join(store, "journal.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		entries, err := cas.ReadJournal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]cas.Entry{}
+		for _, e := range entries {
+			if e.Run == entries[len(entries)-1].Run {
+				out[e.Step] = e
+			}
+		}
+		return out
+	}
+
+	store := filepath.Join(dir, "store")
+	lastRun(store, true, "-blueprint", filepath.Join("testdata", "diamond.json"), "-store", store, "-fail-step", "b")
+	rerun := lastRun(store, false, "-blueprint", bp, "-store", store)
+	fresh := filepath.Join(dir, "fresh")
+	want := lastRun(fresh, false, "-blueprint", bp, "-store", fresh)
+
+	if rerun["ingest"].Status != cas.StatusHit || rerun["a"].Status != cas.StatusExecuted {
+		t.Errorf("re-run: ingest %s and a %s, want the unchanged ingest a hit and the edited a executed",
+			rerun["ingest"].Status, rerun["a"].Status)
+	}
+	for _, id := range []string{"ingest", "a", "b", "c", "d", "join"} {
+		if rerun[id].Key != want[id].Key {
+			t.Errorf("step %s: re-run key %s, fresh store key %s", id, rerun[id].Key, want[id].Key)
+		}
 	}
 }
 
 // TestExecFlagValidation covers the flag dependency rules.
 func TestExecFlagValidation(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-demo", "-resume"}, &sb); err == nil {
-		t.Error("-resume without -store accepted")
+	if err := run([]string{"-demo", "-fail-step", "train"}, &sb); err == nil {
+		t.Error("-fail-step without -store accepted")
 	}
 	if err := run([]string{"-demo", "-cache-stats"}, &sb); err == nil {
 		t.Error("-cache-stats without -store accepted")
 	}
 	if err := run([]string{"-demo", "-store", t.TempDir(), "-compare"}, &sb); err == nil {
 		t.Error("-store with -compare accepted")
-	}
-	if err := run([]string{"-demo", "-store", t.TempDir(), "-resume"}, &sb); err == nil {
-		t.Error("-resume with no journal accepted")
-	}
-}
-
-// The registry-driven flags: wfrun exposes the same shared assembly, and
-// the sweep experiments are byte-stable across worker counts.
-func TestRegistryFlags(t *testing.T) {
-	var list strings.Builder
-	if err := run([]string{"-list"}, &list); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"sweep/faults", "sweep/resume", "sweep/slack",
-		fmt.Sprintf("%d experiments", experiments.ExpectedExperiments)} {
-		if !strings.Contains(list.String(), want) {
-			t.Errorf("-list missing %q", want)
-		}
-	}
-	var a, b strings.Builder
-	if err := run([]string{"-run", "sweep/faults", "-seed", "3", "-workers", "1"}, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-run", "sweep/faults", "-seed", "3", "-workers", "8"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("sweep/faults output depends on the worker count")
-	}
-	if !strings.Contains(a.String(), "p(fail)") {
-		t.Errorf("sweep table malformed:\n%s", a.String())
 	}
 }
 

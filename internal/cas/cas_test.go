@@ -398,8 +398,9 @@ func chain() *workflow.Workflow {
 	return wf
 }
 
-// TestFaultResume is the acceptance-criterion test: a fault mid-run, then
-// a resumed run that re-executes only the steps that had not completed.
+// TestFaultResume is the acceptance-criterion test: a fault mid-run, then a
+// plain re-run over the reopened store that re-executes only the steps that
+// had not completed. The journal records both runs.
 func TestFaultResume(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewDiskStore(dir)
@@ -416,11 +417,10 @@ func TestFaultResume(t *testing.T) {
 	}
 
 	journalPath := filepath.Join(dir, "journal.jsonl")
-	jf, err := os.OpenFile(journalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, jf, _, err := OpenJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := NewJournal(jf, nil)
 	m := &Memo{Store: st, Clock: clock.NewSim(1), Journal: j}
 	// The chain forces a and b to complete before c faults; d is skipped.
 	out, err := m.Run(context.Background(), wf, bodies, uniform(wf, "v1"))
@@ -438,7 +438,47 @@ func TestFaultResume(t *testing.T) {
 	}
 	jf.Close()
 
-	// Second process: reload the journal, resume.
+	// Second process: reopen the store and the journal, re-run.
+	bodies["c"] = realC // fault fixed
+	executed.Store(0)
+	st2, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, jf2, prior, err := OpenJournal(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf2.Close()
+	if len(prior) != 2 || prior[0].Step != "a" || prior[1].Step != "b" {
+		t.Fatalf("journal of the faulted run = %+v, want a and b", prior)
+	}
+	m2 := &Memo{Store: st2, Clock: clock.NewSim(1), Journal: j2}
+	out2, err := m2.Run(context.Background(), wf, bodies, uniform(wf, "v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only c and d — the steps that had not completed — re-execute.
+	if got := executed.Load(); got != 2 {
+		t.Fatalf("re-run executed %d bodies, want 2", got)
+	}
+	if out2.Status["a"] != StatusHit || out2.Status["b"] != StatusHit {
+		t.Fatalf("status: %v", out2.Status)
+	}
+	if out2.Status["c"] != StatusExecuted || out2.Status["d"] != StatusExecuted {
+		t.Fatalf("status: %v", out2.Status)
+	}
+	if out2.Stats.Hits != 2 || out2.Stats.Executed != 2 {
+		t.Fatalf("re-run stats: %+v", out2.Stats)
+	}
+	for _, id := range []string{"a", "b"} {
+		if out2.Keys[id] != out.Keys[id] {
+			t.Errorf("step %s: re-run key %s, faulted run %s", id, out2.Keys[id], out.Keys[id])
+		}
+	}
+	if err := j2.Err(); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := os.ReadFile(journalPath)
 	if err != nil {
 		t.Fatal(err)
@@ -447,39 +487,12 @@ func TestFaultResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	completed := Completed(entries, wf.Name)
-	if len(completed) != 2 {
-		t.Fatalf("journal completed = %v, want a and b", completed)
+	var steps []string
+	for _, e := range entries {
+		steps = append(steps, e.Run+":"+e.Step+":"+string(e.Status))
 	}
-	for _, id := range []string{"a", "b"} {
-		if _, ok := completed[id]; !ok {
-			t.Fatalf("journal missing completed step %q", id)
-		}
-	}
-
-	bodies["c"] = realC // fault fixed
-	executed.Store(0)
-	st2, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := &Memo{Store: st2, Clock: clock.NewSim(1), Resume: completed}
-	out2, err := m2.Run(context.Background(), wf, bodies, uniform(wf, "v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only c and d — the steps that had not completed — re-execute.
-	if got := executed.Load(); got != 2 {
-		t.Fatalf("resume executed %d bodies, want 2", got)
-	}
-	if out2.Status["a"] != StatusRestored || out2.Status["b"] != StatusRestored {
-		t.Fatalf("status: %v", out2.Status)
-	}
-	if out2.Status["c"] != StatusExecuted || out2.Status["d"] != StatusExecuted {
-		t.Fatalf("status: %v", out2.Status)
-	}
-	if out2.Stats.Restored != 2 || out2.Stats.Executed != 2 {
-		t.Fatalf("resume stats: %+v", out2.Stats)
+	if want := "[1:a:exec 1:b:exec 2:a:hit 2:b:hit 2:c:exec 2:d:exec]"; fmt.Sprint(steps) != want {
+		t.Fatalf("journal = %v, want %s", steps, want)
 	}
 }
 

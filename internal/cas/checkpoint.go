@@ -1,11 +1,11 @@
 package cas
 
-// The checkpoint journal is the crash-recovery half of the subsystem: an
-// append-only record of completed steps, one JSON line each, flushed to
-// the underlying writer as soon as the step finishes. After a mid-run
-// fault the journal names exactly the steps whose artifacts are safe in
-// the store; feeding it back through Completed → Memo.Resume makes the
-// second run replay only the steps that had not completed.
+// The journal is the record of a memoized run: an append-only list of
+// completed steps, one JSON line each, flushed to the underlying writer as
+// soon as the step finishes. After a mid-run fault it names exactly the
+// steps whose artifacts are safe in the store. Recovery reads the store,
+// not the journal: a re-run's memo hits are those steps, and only the steps
+// that had not completed, or whose inputs changed since, execute.
 //
 // Timestamps are read from the Memo's injected clock (clock.Seconds), and
 // workflow.Run calls the steps one at a time in topological order, so a run
@@ -23,8 +23,8 @@ import (
 	"sync"
 )
 
-// Entry is one journal line: a step that completed (executed, hit, or
-// restored) with the artifact key its result lives under.
+// Entry is one journal line: a step that completed (executed or hit) with
+// the artifact key its result lives under.
 type Entry struct {
 	// Seq is the 1-based append order within Run, and Run numbers the
 	// journals that appended to one file ("1", "2", …; see OpenJournal).
@@ -145,17 +145,4 @@ func ReadJournal(r io.Reader) ([]Entry, error) {
 		out = append(out, e)
 	}
 	return out, nil
-}
-
-// Completed extracts the resume map for a workflow from journal entries:
-// step ID → artifact key of its completed result (last entry wins). Feed
-// the result to Memo.Resume to replay only incomplete steps.
-func Completed(entries []Entry, workflowName string) map[string]Key {
-	out := map[string]Key{}
-	for _, e := range entries {
-		if e.Workflow == workflowName && e.Key.Valid() {
-			out[e.Step] = e.Key
-		}
-	}
-	return out
 }

@@ -61,9 +61,6 @@ const (
 	StatusExecuted StepStatus = "exec"
 	// StatusHit: the memo key resolved to a stored artifact; body skipped.
 	StatusHit StepStatus = "hit"
-	// StatusRestored: a checkpoint journal entry supplied the artifact;
-	// body skipped.
-	StatusRestored StepStatus = "restore"
 	// StatusFailed: the body ran and returned an error.
 	StatusFailed StepStatus = "fail"
 	// StatusSkipped: never ran because an earlier step failed or the run
@@ -76,7 +73,6 @@ type RunStats struct {
 	Hits         int   // steps satisfied from the memo table
 	Misses       int   // steps whose key was absent (body executed or failed)
 	Executed     int   // bodies that ran to completion
-	Restored     int   // steps satisfied from the checkpoint journal
 	Failed       int   // bodies that ran and errored
 	Skipped      int   // steps skipped after an earlier failure
 	BytesWritten int64 // artifact bytes newly stored
@@ -86,7 +82,7 @@ type RunStats struct {
 // RunResult is the outcome of Memo.Run.
 type RunResult struct {
 	// Results mirrors workflow.Run: per-step results keyed by ID.
-	// Values of hit/restored steps are the decoded canonical form.
+	// Values of hit steps are the decoded canonical form.
 	Results map[string]workflow.Result
 	// Keys maps every completed step to its artifact key.
 	Keys map[string]Key
@@ -105,13 +101,9 @@ type Memo struct {
 	// Clock stamps journal entries (nil = clock.System). Inject a
 	// clock.Sim for byte-identical journals.
 	Clock clock.Clock
-	// Journal, when non-nil, receives one checkpoint entry per completed
-	// step (hit, restored, or executed).
+	// Journal, when non-nil, receives one entry per completed step (hit or
+	// executed).
 	Journal *Journal
-	// Resume maps step IDs to artifact keys recovered from a previous
-	// run's journal (see Completed); listed steps are satisfied directly
-	// from the store without recomputing their memo key.
-	Resume map[string]Key
 }
 
 // ErrNoStore is returned by Run when the Memo has no Store.
@@ -129,9 +121,9 @@ var ErrNoStore = errors.New("cas: memo has no store")
 // JSON-shaped data (strings stay strings either way).
 //
 // The returned error mirrors workflow.Run; on a mid-run failure the
-// store and journal retain every step that completed, so a subsequent Run
-// (optionally with Resume set from the journal) re-executes only the steps
-// that had not completed.
+// store retains every step that completed, so a subsequent Run over it is
+// the resume: the completed steps are hits, and only the steps that had not
+// completed, or whose inputs changed since, execute.
 func (m *Memo) Run(ctx context.Context, wf *workflow.Workflow, bodies map[string]workflow.StepFunc, fingerprints map[string]string) (*RunResult, error) {
 	if m.Store == nil {
 		return nil, ErrNoStore
@@ -162,29 +154,6 @@ func (m *Memo) Run(ctx context.Context, wf *workflow.Workflow, bodies map[string
 				depKeys[dep] = out.Keys[dep]
 			}
 			var v any
-
-			// Checkpoint resume: the journal of the faulted run already
-			// names this step's artifact.
-			if resumeKey, resuming := m.Resume[stepID]; resuming {
-				data, ok, err := m.Store.Get(resumeKey)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					if err := decode(data, &v); err != nil {
-						return nil, err
-					}
-					out.Stats.Restored++
-					out.Stats.BytesReused += int64(len(data))
-					out.Status[stepID] = StatusRestored
-					out.Keys[stepID] = resumeKey
-					m.journalAppend(c, wf.Name, stepID, resumeKey, StatusRestored)
-					return v, nil
-				}
-				// Artifact evicted since the journal was written: fall
-				// through to the memo path.
-			}
-
 			memo, err := Memoize(m.Store, StepKey(wf.Name, stepID, fp, depKeys), &v, func() (any, error) {
 				v, err := body(ctx, deps)
 				if err != nil {

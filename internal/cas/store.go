@@ -1,6 +1,7 @@
 // Package cas is the repository's persistence layer: a content-addressed
-// artifact store with a memoization layer over the workflow engine and a
-// checkpoint journal enabling resume after mid-run faults.
+// artifact store with a memoization layer over the workflow engine, which
+// is also how a run resumes after a mid-run fault, and a journal of each
+// run's steps.
 //
 // The design follows the provenance-based-reuse literature the paper's
 // orchestration direction points at: Missier et al. key step reuse on
@@ -15,10 +16,10 @@
 //     write path and JSON memo that every memo in the repository calls.
 //   - Memo (memo.go): caches workflow step results under a key derived
 //     from (workflow name, step ID, body fingerprint, dep-result hashes);
-//     cache hits skip step bodies entirely.
+//     cache hits skip step bodies entirely, so a re-run after a fault
+//     re-executes only the steps that had not completed.
 //   - Journal (checkpoint.go): an append-only record of completed steps,
-//     stamped on the injected clock, from which a second run resumes —
-//     re-executing only the steps that had not completed.
+//     stamped on the injected clock.
 package cas
 
 import (

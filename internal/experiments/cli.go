@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -14,13 +12,11 @@ import (
 	"repro/internal/clock"
 	"repro/internal/exp"
 	"repro/internal/par"
-	"repro/internal/runpack"
 	"repro/internal/telemetry"
 )
 
-// CLIOptions carries the registry-driven flag set shared by the smsreport,
-// wfrun and continuum commands: -list, -run <name|all>, -json, plus the
-// ambient knobs (seed, workers, cache dir) each command already exposes.
+// CLIOptions carries smsreport's registry-driven flag set: -list, -run
+// <name|all>, -json, plus the seed, worker bound and cache directory.
 type CLIOptions struct {
 	List    bool   // -list: print every experiment name and description
 	Run     string // -run: execute one experiment ("all" = whole registry)
@@ -28,12 +24,6 @@ type CLIOptions struct {
 	Seed    int64  // root Env seed
 	Workers int    // par worker pool bound (0 = default pool)
 	Cache   string // cas.DiskStore directory ("" = no memoization)
-	// Runpack, with -run, seals every executed experiment into a signed
-	// runpack under this directory (one subdirectory per experiment, "/"
-	// in names mapped to "__") and appends each export to
-	// <dir>/journal.jsonl. Packs are signed with the documented dev key;
-	// use cmd/runpack for custom keys.
-	Runpack string
 }
 
 // Env builds the experiment environment the CLI contract promises: a
@@ -61,7 +51,7 @@ func (o CLIOptions) Env() (*exp.Env, error) {
 }
 
 // Active reports whether the registry-driven flags were used at all; when
-// false the command falls through to its bespoke behaviour.
+// false smsreport falls through to its paper-artifact modes.
 func (o CLIOptions) Active() bool { return o.List || o.Run != "" }
 
 // RunCLI executes the -list/-run/-json contract against reg and writes the
@@ -81,11 +71,6 @@ func RunCLI(reg *exp.Registry, o CLIOptions, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if o.Runpack != "" {
-		if err := exportRunpacks(reg, env, []*exp.Result{res}, o, out); err != nil {
-			return err
-		}
-	}
 	return emit(res, o, out)
 }
 
@@ -93,43 +78,6 @@ func RunCLI(reg *exp.Registry, o CLIOptions, out io.Writer) error {
 // the registry's namespace separator but a path separator on disk.
 func PackDirName(experiment string) string {
 	return strings.ReplaceAll(experiment, "/", "__")
-}
-
-// exportRunpacks seals each Result into a signed runpack under o.Runpack
-// and appends one journal line per export to <dir>/journal.jsonl — the
-// same crash-tolerant cas.Journal the workflow engine checkpoints with, so
-// an interrupted export names exactly the packs that are safely on disk.
-func exportRunpacks(reg *exp.Registry, env *exp.Env, results []*exp.Result, o CLIOptions, out io.Writer) error {
-	if err := os.MkdirAll(o.Runpack, 0o755); err != nil {
-		return err
-	}
-	journal, jf, _, err := cas.OpenJournal(filepath.Join(o.Runpack, "journal.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer jf.Close()
-	key := runpack.DevKey()
-	for _, res := range results {
-		pack, err := reg.Seal(res, env, key)
-		if err != nil {
-			return err
-		}
-		dir := filepath.Join(o.Runpack, PackDirName(res.Provenance.Experiment))
-		if err := pack.WriteDir(dir); err != nil {
-			return err
-		}
-		journal.Append(cas.Entry{
-			Workflow: "runpack",
-			Step:     res.Provenance.Experiment,
-			Key:      cas.Key(pack.ID),
-			Status:   cas.StatusExecuted,
-			AtS:      clock.Seconds(env.Clk().Now()),
-		})
-		if _, err := fmt.Fprintf(out, "runpack %-34s %s\n", res.Provenance.Experiment, pack.ID[:12]); err != nil {
-			return err
-		}
-	}
-	return journal.Err()
 }
 
 // list prints every registered experiment with its description, aligned.
@@ -156,11 +104,6 @@ func runAll(reg *exp.Registry, env *exp.Env, o CLIOptions, out io.Writer) error 
 	results, err := reg.RunAll(context.Background(), env)
 	if err != nil {
 		return err
-	}
-	if o.Runpack != "" {
-		if err := exportRunpacks(reg, env, results, o, out); err != nil {
-			return err
-		}
 	}
 	if o.JSON {
 		enc := json.NewEncoder(out)

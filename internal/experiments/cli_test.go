@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"context"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/cas"
@@ -95,61 +92,6 @@ func TestReportPackIgnoresCacheState(t *testing.T) {
 		if d := runpack.Diff(bare, c.pack); d.Material {
 			t.Errorf("%s: material drift against the storeless run:\n%s", c.name, d.Text())
 		}
-	}
-}
-
-// The CLI -runpack path: a run exports a signed pack directory plus a
-// journal line, and the directory re-verifies offline with the dev key.
-func TestCLIRunpackExport(t *testing.T) {
-	reg := registry(t)
-	dir := t.TempDir()
-	var out strings.Builder
-	o := CLIOptions{Run: "continuum/io", Seed: 4, Runpack: dir}
-	if err := RunCLI(reg, o, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "runpack continuum/io") {
-		t.Fatalf("export line missing from output:\n%s", out.String())
-	}
-
-	pack, err := runpack.ReadDir(filepath.Join(dir, PackDirName("continuum/io")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := runpack.DevKey()
-	if err := pack.Verify(runpack.VerifyOpts{Key: &key}); err != nil {
-		t.Fatalf("exported pack fails verify: %v", err)
-	}
-
-	jf, err := os.Open(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jf.Close()
-	entries, err := cas.ReadJournal(jf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Step != "continuum/io" || string(entries[0].Key) != pack.ID {
-		t.Fatalf("journal does not record the export: %+v", entries)
-	}
-
-	// A second export of the same run appends — the journal is the full
-	// export history, and the pack bytes are unchanged (same ID).
-	if err := RunCLI(reg, o, &out); err != nil {
-		t.Fatal(err)
-	}
-	jf2, err := os.Open(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jf2.Close()
-	entries, err = cas.ReadJournal(jf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || entries[1].Key != entries[0].Key {
-		t.Fatalf("re-export did not append an identical journal entry: %+v", entries)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package experiments assembles the repository's complete experiment
 // registry: every Table 2 scenario, the full-report build, the orchestrator
 // sweeps, and the continuum what-ifs, all under the unified exp contract.
-// The three CLIs (smsreport, wfrun, continuum) drive their -list/-run/-json
-// flags from this one assembly, so a workload registered here is uniformly
-// listable, runnable, memoizable, and traceable everywhere.
+// smsreport's -list/-run/-json flags, smsd's POST /experiments and runpack's
+// pack and regress all run this one assembly, so a workload registered here
+// is listable, runnable, memoizable and sealable through each of them.
 package experiments
 
 import (
@@ -27,15 +27,14 @@ import (
 
 // ExpectedExperiments is the single source of truth for the registry size:
 // 28 Table 2 scenarios, the engine workloads (report, sweeps, continuum
-// what-ifs, corpus), and the generated scengen families. Every CLI's
+// what-ifs, corpus), and the generated scengen families. smsreport's
 // "<n> experiments" pin and the completeness test derive from this one
 // constant, so registry growth is a one-line change here (the completeness
 // test still cross-checks the actual names).
 const ExpectedExperiments = 42
 
 // demoPipeline is the canonical fan-out/fan-in workflow the sweep
-// experiments run over: ingest → 8 shards → train → publish (the same
-// shape the continuum CLI's fault scenario uses).
+// experiments run over: ingest → 8 shards → train → publish.
 func demoPipeline() *workflow.Workflow {
 	wf := workflow.New("pipeline")
 	wf.MustAdd(workflow.Step{ID: "ingest", WorkGFlop: 50, OutputBytes: 100e6})
@@ -104,7 +103,7 @@ func Default() (*exp.Registry, error) {
 }
 
 // faasExperiment compares FaaS schedulers on a Poisson invocation trace
-// drawn from the Env (the continuum CLI's faas scenario as an experiment).
+// drawn from the Env.
 func faasExperiment() exp.Experiment {
 	const rate, horizon = 20.0, 60.0
 	return exp.Experiment{

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,5 +204,61 @@ func TestSeedsReachExperiments(t *testing.T) {
 	}
 	if r1.Provenance.Fingerprint != r2.Provenance.Fingerprint {
 		t.Error("spec fingerprint depends on the Env seed")
+	}
+}
+
+// The continuum what-ifs and the fault sweep tabulate what their scenarios
+// compare: each table has its header columns, then one row per compared
+// case in order, and each row's figures are also Result metrics.
+func TestWhatIfTables(t *testing.T) {
+	reg := registry(t)
+	for _, c := range []struct {
+		name    string
+		columns []string // words of the header line
+		rows    []string // the row labels, in table order
+		metrics []string
+	}{
+		{"continuum/faas", []string{"scheduler", "p50", "p95"},
+			[]string{"cloud-only", "edge-first", "energy-aware"},
+			[]string{"p95_s/cloud-only", "p95_s/edge-first", "p95_s/energy-aware", "energy_j/energy-aware"}},
+		{"continuum/energy", []string{"placer", "energy(1h)"},
+			[]string{"consolidating", "spreading"},
+			[]string{"energy_j/consolidating", "energy_j/spreading"}},
+		{"continuum/io", nil,
+			[]string{"staged:", "streamed:", "overlap:"},
+			[]string{"staged_s", "streamed_s", "overlap_x"}},
+		{"sweep/faults", []string{"p(fail)", "makespan", "retries"},
+			[]string{"0.0", "0.1", "0.3", "0.5"},
+			[]string{"makespan_s/p=0.0", "makespan_s/p=0.5", "retries/p=0.5"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := reg.Run(context.Background(), simEnv(7), c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSuffix(res.Artifacts["table"], "\n"), "\n")
+			if c.columns != nil {
+				header := strings.Fields(lines[0])
+				for _, col := range c.columns {
+					if !slices.Contains(header, col) {
+						t.Errorf("header %q lacks column %q", lines[0], col)
+					}
+				}
+				lines = lines[1:]
+			}
+			if len(lines) != len(c.rows) {
+				t.Fatalf("table has %d rows, want %d:\n%s", len(lines), len(c.rows), res.Artifacts["table"])
+			}
+			for i, row := range c.rows {
+				if f := strings.Fields(lines[i]); len(f) < 2 || f[0] != row {
+					t.Errorf("row %d = %q, want a row for %s", i, lines[i], row)
+				}
+			}
+			for _, m := range c.metrics {
+				if _, ok := res.Metrics[m]; !ok {
+					t.Errorf("metric %s missing from %v", m, res.Metrics)
+				}
+			}
+		})
 	}
 }

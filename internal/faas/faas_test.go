@@ -1,16 +1,11 @@
 package faas
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"testing"
 
-	"repro/internal/clock"
 	"repro/internal/continuum"
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 func testFunctions() []Function {
@@ -294,93 +289,6 @@ func TestResultDeterminism(t *testing.T) {
 	if len(a.Outcomes) != len(b.Outcomes) || a.EnergyJ != b.EnergyJ ||
 		a.ColdStarts != b.ColdStarts || a.Offloaded != b.Offloaded {
 		t.Error("simulation not deterministic")
-	}
-}
-
-func TestMetricsIntegration(t *testing.T) {
-	p := NewPlatform(continuum.EdgeCloudTestbed(), EdgeFirst{})
-	p.Metrics = telemetry.NewWithClock(clock.NewSim(1))
-	for _, fn := range testFunctions() {
-		_ = p.Deploy(fn)
-	}
-	tr := PoissonTrace(testFunctions(), 5, 20, rng.New(8))
-	r, err := p.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Metrics.Counter("faas.invocations"); got != int64(len(r.Outcomes)) {
-		t.Errorf("invocations counter = %d, want %d", got, len(r.Outcomes))
-	}
-	prom := p.Metrics.PromText()
-	if want := fmt.Sprintf("faas_response_s_count %d\n", len(r.Outcomes)-r.Rejected); !strings.Contains(prom, want) {
-		t.Errorf("latency samples: want %q in\n%s", want, prom)
-	}
-	if want := fmt.Sprintf("faas_energy_j %s\n", strconv.FormatFloat(r.EnergyJ, 'g', -1, 64)); !strings.Contains(prom, want) {
-		t.Errorf("energy gauge: want %q in\n%s", want, prom)
-	}
-}
-
-// Two identical seeded runs through the metrics layer must expose
-// byte-identical PromText and trace output — the observability artifacts are
-// as deterministic as the simulation itself.
-func TestMetricsPromTextDeterministic(t *testing.T) {
-	render := func() (string, string) {
-		reg := telemetry.NewWithClock(clock.NewSim(3))
-		p := NewPlatform(continuum.EdgeCloudTestbed(), EdgeFirst{})
-		p.Metrics = reg
-		for _, fn := range testFunctions() {
-			if err := p.Deploy(fn); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tr := PoissonTrace(testFunctions(), 5, 20, rng.New(8))
-		if _, err := p.Run(tr); err != nil {
-			t.Fatal(err)
-		}
-		return reg.PromText(), fmt.Sprint(reg.Spans())
-	}
-	prom1, trace1 := render()
-	prom2, trace2 := render()
-	if prom1 != prom2 {
-		t.Errorf("PromText differs across identical runs:\n--- first\n%s--- second\n%s", prom1, prom2)
-	}
-	if trace1 != trace2 {
-		t.Errorf("spans differ across identical runs")
-	}
-	if !strings.Contains(prom1, "faas_invocations") {
-		t.Errorf("PromText missing faas metrics:\n%s", prom1)
-	}
-	if !strings.Contains(trace1, "faas.invoke") {
-		t.Errorf("TraceText missing invoke spans:\n%s", trace1)
-	}
-}
-
-// WithMetrics namespaces each compared scheduler's metrics and spans by its
-// name, so one registry can hold a whole comparison without collisions.
-func TestCompareSchedulersWithMetrics(t *testing.T) {
-	fns := testFunctions()
-	tr := PoissonTrace(fns, 10, 30, rng.New(6))
-	reg := telemetry.NewWithClock(clock.NewSim(1))
-	results, names, err := CompareSchedulers(fns, tr,
-		continuum.EdgeCloudTestbed,
-		[]Scheduler{EdgeFirst{}, CloudOnly{}},
-		WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range names {
-		if got := reg.Counter(n + ".faas.invocations"); got != int64(len(results[n].Outcomes)) {
-			t.Errorf("%s invocations counter = %d, want %d", n, got, len(results[n].Outcomes))
-		}
-	}
-	kinds := map[string]bool{}
-	for _, sp := range reg.Spans() {
-		kinds[sp.Kind] = true
-	}
-	for _, n := range names {
-		if !kinds[n+".faas.invoke"] {
-			t.Errorf("no spans recorded for scheduler %s (kinds: %v)", n, kinds)
-		}
 	}
 }
 

@@ -5,51 +5,33 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/clock"
 	"repro/internal/continuum"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
+)
+
+// Serverledge-like container defaults.
+const (
+	// coldStartS is the container start penalty paid when a function runs
+	// on a node where it has no warm container.
+	coldStartS = 0.5
+	// warmTTL is how long a container stays warm after an invocation (s).
+	warmTTL = 600
 )
 
 // Platform simulates a FaaS deployment over an infrastructure.
 type Platform struct {
 	Infra *continuum.Infrastructure
 	Sched Scheduler
-	// ColdStartS is the container start penalty paid when a function runs
-	// on a node where it has no warm container.
-	ColdStartS float64
-	// WarmTTL is how long a container stays warm after an invocation.
-	WarmTTL float64
-	// UserLatency returns the one-way latency from a request source region
-	// to a node; nil uses the infrastructure topology's region links via a
-	// synthetic probe node.
-	UserLatency func(source string, n *continuum.Node) float64
-	// Metrics, when non-nil, receives per-run counters ("faas.invocations",
-	// "faas.rejected", "faas.cold_starts", "faas.violations", per-node
-	// "faas.served.<node>"), the "faas.response_s" latency series, and one
-	// "faas.invoke" span per served invocation stamped with simulated time
-	// (the engine clock), so the trace of a run is byte-stable.
-	Metrics *telemetry.Registry
-	// MetricsPrefix namespaces every metric and span kind this platform
-	// emits — set it when several platforms share one registry (e.g.
-	// scheduler comparisons).
-	MetricsPrefix string
 
 	functions map[string]*Function
 }
 
-// metric returns a metric name under the platform's prefix.
-func (p *Platform) metric(name string) string { return p.MetricsPrefix + name }
-
-// NewPlatform returns a platform with Serverledge-like defaults: 500 ms cold
-// start, 10 min warm TTL.
+// NewPlatform returns a platform over inf that schedules with sched.
 func NewPlatform(inf *continuum.Infrastructure, sched Scheduler) *Platform {
 	return &Platform{
-		Infra:      inf,
-		Sched:      sched,
-		ColdStartS: 0.5,
-		WarmTTL:    600,
-		functions:  map[string]*Function{},
+		Infra:     inf,
+		Sched:     sched,
+		functions: map[string]*Function{},
 	}
 }
 
@@ -117,13 +99,10 @@ func (r *Result) OffloadRate() float64 {
 	return float64(r.Offloaded) / float64(served)
 }
 
-// userLatency resolves the request network latency.
+// userLatency is the one-way latency from a request source region to n:
+// 2 ms within a region, otherwise the topology's region link latency via a
+// synthetic probe node.
 func (p *Platform) userLatency(source string, n *continuum.Node) float64 {
-	if p.UserLatency != nil {
-		return p.UserLatency(source, n)
-	}
-	// Default: same region → 2 ms; different region → the topology's
-	// region link latency via a synthetic probe.
 	probe := &continuum.Node{ID: "\x00probe", Region: source}
 	return p.Infra.Topology.LinkBetween(probe, n).LatencyS
 }
@@ -177,7 +156,7 @@ func (p *Platform) Run(trace Trace) (*Result, error) {
 			key := [2]string{fn.Name, n.ID}
 			penalty := 0.0
 			if warm[key] < eng.Now() {
-				penalty = p.ColdStartS
+				penalty = coldStartS
 				o.ColdStart = true
 				res.ColdStarts++
 			}
@@ -199,7 +178,7 @@ func (p *Platform) Run(trace Trace) (*Result, error) {
 					o.DeadlineMiss = true
 					res.Violations++
 				}
-				warm[key] = eng.Now() + p.WarmTTL
+				warm[key] = eng.Now() + warmTTL
 				if err := p.Infra.Release(n.ID, 1); err != nil {
 					simErr = err
 				}
@@ -238,32 +217,6 @@ func (p *Platform) Run(trace Trace) (*Result, error) {
 			return nil, err
 		}
 		res.EnergyJ += n.IdleW * makespan
-	}
-	if p.Metrics != nil {
-		p.Metrics.Inc(p.metric("faas.invocations"), int64(len(res.Outcomes)))
-		p.Metrics.Inc(p.metric("faas.rejected"), int64(res.Rejected))
-		p.Metrics.Inc(p.metric("faas.cold_starts"), int64(res.ColdStarts))
-		p.Metrics.Inc(p.metric("faas.violations"), int64(res.Violations))
-		p.Metrics.SetGauge(p.metric("faas.energy_j"), res.EnergyJ)
-		for _, o := range res.Outcomes {
-			if o.Rejected {
-				continue
-			}
-			p.Metrics.Inc(p.metric("faas.served."+o.NodeID), 1)
-			p.Metrics.Observe(p.metric("faas.response_s"), o.ResponseS)
-			// Span per served invocation, on the unified simulated
-			// timeline (arrival → finish, network excluded).
-			sp := telemetry.Span{
-				Kind:  p.MetricsPrefix + "faas.invoke",
-				Name:  o.Function + "@" + o.NodeID,
-				Start: clock.FromSeconds(o.ArrivalS),
-				End:   clock.FromSeconds(o.FinishS),
-			}
-			if o.DeadlineMiss {
-				sp.Err = "deadline miss"
-			}
-			p.Metrics.RecordSpan(sp)
-		}
 	}
 	return res, nil
 }
@@ -324,30 +277,14 @@ func (p *Platform) EvaluateMigration(plan MigrationPlan) (*MigrationOutcome, err
 	return out, nil
 }
 
-// CompareOption tweaks the platforms CompareSchedulers builds.
-type CompareOption func(*Platform)
-
-// WithMetrics attaches reg to every compared platform, namespacing each
-// scheduler's metrics and spans under "<scheduler name>." so they coexist
-// in the one registry.
-func WithMetrics(reg *telemetry.Registry) CompareOption {
-	return func(p *Platform) {
-		p.Metrics = reg
-		p.MetricsPrefix = p.Sched.Name() + "."
-	}
-}
-
 // CompareSchedulers runs the same trace under several schedulers on fresh
 // copies of the infrastructure built by mkInf, returning results keyed by
 // scheduler name and sorted name list for deterministic iteration.
-func CompareSchedulers(fns []Function, trace Trace, mkInf func() *continuum.Infrastructure, scheds []Scheduler, opts ...CompareOption) (map[string]*Result, []string, error) {
+func CompareSchedulers(fns []Function, trace Trace, mkInf func() *continuum.Infrastructure, scheds []Scheduler) (map[string]*Result, []string, error) {
 	out := map[string]*Result{}
 	var names []string
 	for _, s := range scheds {
 		p := NewPlatform(mkInf(), s)
-		for _, o := range opts {
-			o(p)
-		}
 		for _, fn := range fns {
 			if err := p.Deploy(fn); err != nil {
 				return nil, nil, err

@@ -48,7 +48,6 @@ const DefaultGrain = 4096
 // options configures a parallel execution.
 type options struct {
 	workers int
-	shards  int
 	grain   int
 }
 
@@ -86,7 +85,7 @@ func Grain(n int) Option {
 }
 
 func buildOptions(opts []Option) options {
-	o := options{workers: runtime.GOMAXPROCS(0), shards: defaultShards, grain: DefaultGrain}
+	o := options{workers: runtime.GOMAXPROCS(0), grain: DefaultGrain}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -157,12 +156,12 @@ func runShards(nShards, workers int, fn func(shard int)) {
 	wg.Wait()
 }
 
-// ForShards partitions [0, n) into the configured number of contiguous
-// shards and calls fn(shard, lo, hi) once per shard on the worker pool.
-// Shard boundaries depend only on n and the Shards option.
+// ForShards partitions [0, n) into min(defaultShards, n) contiguous shards
+// and calls fn(shard, lo, hi) once per shard on the worker pool.
+// Shard boundaries depend only on n.
 func ForShards(n int, fn func(shard, lo, hi int), opts ...Option) {
 	o := buildOptions(opts)
-	nShards := min(o.shards, n)
+	nShards := min(defaultShards, n)
 	runShards(nShards, o.workersFor(n, nShards), func(s int) {
 		lo, hi := shardBounds(n, nShards, s)
 		fn(s, lo, hi)
@@ -188,7 +187,7 @@ func For(n int, body func(i int), opts ...Option) {
 // merged result is only valid when the error is nil.
 func MapReduceN[R any](n int, mapShard func(shard, lo, hi int) (R, error), merge func(R, R) R, opts ...Option) (R, error) {
 	o := buildOptions(opts)
-	nShards := min(o.shards, n)
+	nShards := min(defaultShards, n)
 	var zero R
 	if nShards <= 0 {
 		return zero, nil

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -13,7 +15,7 @@ import (
 
 // endpoints are the instrumented endpoint labels, in route order. Each gets
 // a serve.req.<ep> counter and a serve.latency.<ep> series.
-var endpoints = []string{"submit", "list", "status", "artifact", "runpack", "families", "family-submit", "metrics"}
+var endpoints = []string{"submit", "list", "status", "artifact", "runpack", "metrics"}
 
 // routes wires the Go 1.22 method+wildcard patterns onto the instrumented
 // handlers.
@@ -24,8 +26,6 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /experiments/{id}", s.instrument("status", s.handleStatus))
 	mux.HandleFunc("GET /experiments/{id}/artifacts/{name}", s.instrument("artifact", s.handleArtifact))
 	mux.HandleFunc("GET /experiments/{id}/runpack", s.instrument("runpack", s.handleRunpack))
-	mux.HandleFunc("GET /families", s.instrument("families", s.handleFamilies))
-	mux.HandleFunc("POST /families/{name}", s.instrument("family-submit", s.handleFamilySubmit))
 	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	return mux
 }
@@ -53,14 +53,15 @@ func (c *codeWriter) Write(p []byte) (int, error) {
 // codeCounter maps the status codes the daemon emits onto precomputed
 // counter names, so the hot path never formats a string per request.
 var codeCounter = map[int]string{
-	http.StatusOK:                 "serve.code.200",
-	http.StatusAccepted:           "serve.code.202",
-	http.StatusBadRequest:         "serve.code.400",
-	http.StatusNotFound:           "serve.code.404",
-	http.StatusConflict:           "serve.code.409",
-	http.StatusGone:               "serve.code.410",
-	http.StatusTooManyRequests:    "serve.code.429",
-	http.StatusServiceUnavailable: "serve.code.503",
+	http.StatusOK:                    "serve.code.200",
+	http.StatusAccepted:              "serve.code.202",
+	http.StatusBadRequest:            "serve.code.400",
+	http.StatusNotFound:              "serve.code.404",
+	http.StatusConflict:              "serve.code.409",
+	http.StatusGone:                  "serve.code.410",
+	http.StatusRequestEntityTooLarge: "serve.code.413",
+	http.StatusTooManyRequests:       "serve.code.429",
+	http.StatusServiceUnavailable:    "serve.code.503",
 }
 
 func countCode(code int) string {
@@ -133,20 +134,48 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxSubmitBytes bounds a POST /experiments body. A SubmitRequest is a
+// name and a seed, a few dozen bytes; a longer body is refused with 413
+// before more of it is read.
+const maxSubmitBytes = 4 << 10
+
+// maxQuoted bounds how many bytes of a client-sent name an error answer
+// quotes.
+const maxQuoted = 64
+
 // handleSubmit accepts a SubmitRequest and admits it: 202 on enqueue, 200
-// when the (name, seed) pair is already known (idempotent dedup), 400 on
-// malformed JSON, 404 on an unregistered name, 429 at a full queue, 503
-// after Close.
+// when the (name, seed) pair is already known (idempotent dedup), 400 on a
+// body that is not exactly one JSON object, 404 on an unregistered name,
+// 413 on a body over maxSubmitBytes, 429 at a full queue, 503 after Close.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// Exactly one value: the next Decode must meet the end of the body.
+		switch err = dec.Decode(new(json.RawMessage)); err {
+		case io.EOF:
+			err = nil
+		case nil:
+			err = errors.New("more than one JSON value")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "submit body exceeds %d bytes", maxSubmitBytes)
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, "malformed submit body: %v", err)
 		return
 	}
 	if _, ok := s.cfg.Registry.Get(req.Name); !ok {
-		writeError(w, http.StatusNotFound, "unknown experiment %q (GET /experiments lists them)", req.Name)
+		name := req.Name
+		if len(name) > maxQuoted {
+			name = name[:maxQuoted] + "..."
+		}
+		writeError(w, http.StatusNotFound, "unknown experiment %q (GET /experiments lists them)", name)
 		return
 	}
 	seed := s.cfg.Seed

@@ -47,7 +47,7 @@ func synth(name string, rows int, executed *atomic.Int64) exp.Experiment {
 	}
 }
 
-func synthRegistry(t *testing.T, executed *atomic.Int64, names ...string) *exp.Registry {
+func synthRegistry(t testing.TB, executed *atomic.Int64, names ...string) *exp.Registry {
 	t.Helper()
 	reg := exp.NewRegistry()
 	for i, n := range names {

@@ -27,7 +27,6 @@ type Stream[T any] struct {
 type options struct {
 	workers int
 	ordered bool
-	buffer  int
 }
 
 // Option configures parallel operators.
@@ -50,7 +49,7 @@ func Workers(n int) Option {
 func Ordered() Option { return func(o *options) { o.ordered = true } }
 
 func buildOptions(opts []Option) options {
-	o := options{workers: runtime.NumCPU(), buffer: defaultBuffer}
+	o := options{workers: runtime.NumCPU()}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -102,7 +101,7 @@ type indexed[T any] struct {
 // order.
 func Map[I, O any](s *Stream[I], f func(I) O, opts ...Option) *Stream[O] {
 	o := buildOptions(opts)
-	out := make(chan O, o.buffer)
+	out := make(chan O, defaultBuffer)
 
 	if o.workers == 1 {
 		// Fast path: a single worker is inherently ordered.
@@ -120,7 +119,7 @@ func Map[I, O any](s *Stream[I], f func(I) O, opts ...Option) *Stream[O] {
 	}
 
 	// Emitter: tag inputs with sequence numbers.
-	tagged := make(chan indexed[I], o.buffer)
+	tagged := make(chan indexed[I], defaultBuffer)
 	go func() {
 		defer close(tagged)
 		seq := 0
@@ -134,7 +133,7 @@ func Map[I, O any](s *Stream[I], f func(I) O, opts ...Option) *Stream[O] {
 		}
 	}()
 
-	results := make(chan indexed[O], o.buffer)
+	results := make(chan indexed[O], defaultBuffer)
 	var wg sync.WaitGroup
 	for w := 0; w < o.workers; w++ {
 		wg.Add(1)
