@@ -36,6 +36,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/cas"
 	"repro/internal/clock"
@@ -119,7 +120,32 @@ func run(args []string, stdout io.Writer) error {
 	// Publishing the pack key at startup is what makes every served runpack
 	// verifiable offline: `runpack verify -pubkey <key> <bundle>`.
 	fmt.Fprintf(stdout, "smsd: runpack public key %s\n", srv.PackPublicKey())
-	return http.Serve(ln, srv)
+	return newHTTPServer(srv).Serve(ln)
+}
+
+// The listener's timeouts, so no client holds a connection and its
+// goroutine for as long as it likes. A request's header must arrive within
+// readHeaderTimeout and the whole request (its body is at most 4 KiB)
+// within readTimeout; writeTimeout bounds the handler and its response from
+// the end of the header on; a keep-alive connection idles at most
+// idleTimeout between requests.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
+// newHTTPServer returns the http.Server that serves h with the timeouts
+// above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // runLoadtest replays the standard profile in-process and prints the

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
+	"net"
+	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The loadtest report is a deterministic artifact: identical bytes across
@@ -70,5 +74,51 @@ func TestLoadtestSharedShardsDeterministic(t *testing.T) {
 				t.Fatalf("run %d at %s workers differs from 1 worker:\n%s\nvs\n%s", i, w, got, want)
 			}
 		}
+	}
+}
+
+// The daemon's listener sets all four timeouts, and one whose header
+// timeout is lowered disconnects a client that sends half a header.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	for name, c := range map[string][2]time.Duration{
+		"ReadHeaderTimeout": {hs.ReadHeaderTimeout, readHeaderTimeout},
+		"ReadTimeout":       {hs.ReadTimeout, readTimeout},
+		"WriteTimeout":      {hs.WriteTimeout, writeTimeout},
+		"IdleTimeout":       {hs.IdleTimeout, idleTimeout},
+	} {
+		if c[0] != c[1] || c[0] <= 0 {
+			t.Errorf("%s = %v, want %v", name, c[0], c[1])
+		}
+	}
+
+	slow := newHTTPServer(http.NotFoundHandler())
+	slow.ReadHeaderTimeout = 50 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- slow.Serve(ln) }()
+	defer func() {
+		slow.Close()
+		<-done
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /metrics HTTP/1.1\r\nHost: smsd\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes the connection; the deadline only stops a hang.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("half a header: read %d bytes, err %v; want the server to hang up", n, err)
 	}
 }

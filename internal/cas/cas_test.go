@@ -187,13 +187,16 @@ func TestWriteAtomicNoTempLitterOnFailure(t *testing.T) {
 	}
 }
 
-// A flipped byte in an object file is reported as ErrCorrupt, with no bytes.
+// A flipped byte in an object file is reported as ErrCorrupt, with no bytes,
+// and a Put of the original bytes replaces the file instead of deduping onto
+// it, so the next Get returns them.
 func TestDiskStoreGetCorrupt(t *testing.T) {
 	st, err := NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := st.Put([]byte(`{"value":"served intact or not at all"}`))
+	orig := []byte(`{"value":"served intact or not at all"}`)
+	k, err := st.Put(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +212,12 @@ func TestDiskStoreGetCorrupt(t *testing.T) {
 	got, ok, err := st.Get(k)
 	if !errors.Is(err, ErrCorrupt) || ok || got != nil {
 		t.Fatalf("corrupt object: data=%q ok=%v err=%v, want ErrCorrupt and no bytes", got, ok, err)
+	}
+	if again, err := st.Put(orig); err != nil || again != k {
+		t.Fatalf("Put of the original bytes = %s, %v", again, err)
+	}
+	if got, ok, err := st.Get(k); err != nil || !ok || !bytes.Equal(got, orig) {
+		t.Fatalf("after Put: data=%q ok=%v err=%v, want the original bytes", got, ok, err)
 	}
 }
 

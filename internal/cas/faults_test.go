@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/cas"
@@ -102,10 +100,11 @@ func stepPath(store cas.Store) (int, error) {
 }
 
 // Every reader and writer of a memo sees one behaviour per fault, the one
-// DESIGN §5 tabulates: no link and a dangling link are misses in the three
-// memo paths, and a 404 and a 410 in smsd; a store error, ErrCorrupt
-// included, is an error, or a 500; a failed Put or Link fails the unit and
-// leaves no link, and smsd then answers 409 for the failed job.
+// DESIGN §5 tabulates: no link, a dangling link and a corrupt object are
+// misses in the three memo paths; smsd answers 404 for the first and 410
+// for the other two. Any other store error is an error, or a 500; a failed
+// Put or Link fails the unit and leaves no link, and smsd then answers 409
+// for the failed job.
 func TestOneBehaviourPerFault(t *testing.T) {
 	paths := map[string]memoPath{"registry": registryPath, "shards": shardsPath, "step": stepPath}
 	for _, tc := range []struct {
@@ -119,7 +118,7 @@ func TestOneBehaviourPerFault(t *testing.T) {
 		{fault: "dangling", miss: true, fetches: http.StatusGone},
 		{fault: "resolve", err: errInjected, fetches: http.StatusInternalServerError},
 		{fault: "get", err: errInjected, fetches: http.StatusInternalServerError},
-		{fault: "corrupt", err: cas.ErrCorrupt, fetches: http.StatusInternalServerError},
+		{fault: "corrupt", miss: true, fetches: http.StatusGone},
 		{fault: "put", write: true, err: errInjected, fetches: http.StatusConflict},
 		{fault: "link", write: true, err: errInjected, fetches: http.StatusConflict},
 	} {
@@ -169,16 +168,11 @@ func smsdFetches(t *testing.T, fault string, write bool, want int) {
 	if write {
 		store.fault = fault
 	}
-	do := func(method, path, body string) *httptest.ResponseRecorder {
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
-		return w
-	}
-	do(http.MethodPost, "/experiments", `{"name":"unit"}`)
+	call(srv, http.MethodPost, "/experiments", `{"name":"unit"}`)
 	srv.Wait()
 	store.fault = fault
 	for _, what := range []string{"artifacts/out.txt", "runpack"} {
-		w := do(http.MethodGet, "/experiments/"+serve.JobID("unit", 0)+"/"+what, "")
+		w := call(srv, http.MethodGet, "/experiments/"+serve.JobID("unit", 0)+"/"+what, "")
 		if w.Code != want || (want == http.StatusOK) != (w.Header().Get("X-Content-Digest") != "") {
 			t.Errorf("GET %s under %s = %d %q, want %d", what, fault, w.Code, w.Body.String(), want)
 		}

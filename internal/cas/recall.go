@@ -2,20 +2,26 @@ package cas
 
 import (
 	"encoding/json"
+	"errors"
 	"sync"
 )
 
 // Recall resolves name and reads the artifact it links to, through s's
 // Resolve and then its Get. found reports the artifact's bytes; a name that
-// does not resolve has no target, and a dangling link (its artifact is
-// gone) a target but no bytes. A store error, ErrCorrupt among them, is
-// returned as it is: no reader serves or skips bytes that fail their key.
+// does not resolve has no target, and a link whose artifact is gone or fails
+// its key (ErrCorrupt) a target but no bytes. Either is a miss: the caller
+// re-derives the value, and Remember's Put of it replaces a corrupt object.
+// Any other store error is returned as it is. No reader is ever handed
+// bytes that fail their key.
 func Recall(s Store, name Key) (target Key, data []byte, found bool, err error) {
 	target, ok, err := s.Resolve(name)
 	if err != nil || !ok {
 		return "", nil, false, err
 	}
 	if data, found, err = s.Get(target); err != nil {
+		if errors.Is(err, ErrCorrupt) {
+			return target, nil, false, nil
+		}
 		return "", nil, false, err
 	}
 	return target, data, found, nil
@@ -23,8 +29,9 @@ func Recall(s Store, name Key) (target Key, data []byte, found bool, err error) 
 
 // Remember stores data and links name to it, through s's Put and then its
 // Link, and returns the artifact's key. It links only after Put returned
-// (DESIGN §5 item 1): a crash between the two leaves an object nothing
-// links to, never a link to bytes the store lacks.
+// (DESIGN §5 item 1), so a link never names bytes that were not written.
+// A crash may still lose those bytes after the link; the next Recall reads
+// that as a miss.
 func Remember(s Store, name Key, data []byte) (Key, error) {
 	target, err := s.Put(data)
 	if err != nil {

@@ -11,9 +11,14 @@
 //   - Store (this file): SHA-256-keyed blob storage with an in-memory and
 //     an on-disk backend behind one interface, plus a link table mapping
 //     derived keys (memo keys) to artifact keys. Iteration order is
-//     deterministic (sorted keys) so store dumps are stable artifacts.
+//     deterministic (sorted keys) so store dumps are stable artifacts. The
+//     on-disk backend is a cache that may forget but never serves a wrong
+//     byte: it fsyncs nothing, and what a crash loses or tears reads as a
+//     miss.
 //   - Recall, Remember and Memoize (recall.go): the one memo read path,
 //     write path and JSON memo that every memo in the repository calls.
+//     Recall reads a missing or corrupt object as a miss, and the Put of
+//     the re-derived bytes replaces a corrupt one.
 //   - Memo (memo.go): caches workflow step results under a key derived
 //     from (workflow name, step ID, body fingerprint, dep-result hashes);
 //     cache hits skip step bodies entirely, so a re-run after a fault
@@ -177,7 +182,8 @@ func sortedKeys[V any](m map[Key]V) []Key {
 
 // ErrCorrupt reports a stored object whose bytes no longer hash to its key.
 // DiskStore.Get returns it, wrapped, in place of the bytes, so a flipped bit
-// on disk is never served as the artifact its key names.
+// on disk is never served as the artifact its key names. Recall reads it as
+// a miss.
 var ErrCorrupt = errors.New("cas: corrupt object")
 
 // DiskStore is the on-disk Store backend. Layout under the base directory:
@@ -185,33 +191,29 @@ var ErrCorrupt = errors.New("cas: corrupt object")
 //	objects/<first 2 hex>/<remaining 62 hex>   blob bytes
 //	links.log                                  link records, append-only
 //
+// A DiskStore is a cache that may forget, never one that serves a wrong
+// byte. Every object and link is a deterministic function of its key, so
+// nothing is fsynced: a crash may lose or tear objects and link records,
+// and each such loss reads as a memo miss (see Recall) that re-derives it.
 // Objects go through a temp file + rename in the same directory, so a
-// crashed writer never leaves a truncated object behind, and concurrent
-// writers of the same content converge on identical bytes.
+// reader sees a whole file or none, and concurrent writers of the same
+// content converge on identical bytes.
 //
 // The link table is held in memory: NewDiskStore replays links.log into it,
 // so Resolve and Links never touch the disk, and Link appends one record
-// (see linkRecord), fsyncs the log and only then updates the table. A store
-// sees the links other processes append when it is opened, not afterwards.
-// A link it misses is a memo miss, never a wrong result.
+// (see linkRecord) and then updates the table. A store sees the links other
+// processes append when it is opened, not afterwards. A link it misses is a
+// memo miss, never a wrong result.
 type DiskStore struct {
 	base string
 
-	// wmu is held across one log write, so the log's record order is seq
+	// wmu is held across one log write, its descriptor's Close and the
+	// table update after them, so the table agrees with the log's record
 	// order. Readers take mu instead and never wait on a syscall.
 	wmu sync.Mutex
-	seq uint64 // records this store has appended; guarded by wmu
 
 	mu    sync.RWMutex // guards links
-	links map[Key]linkEntry
-}
-
-// linkEntry is one row of the link table: the target, and the seq of the
-// record that set it (0 when replayed at open). The seq stops a Link whose
-// fsync finishes late from overwriting a record appended after its own.
-type linkEntry struct {
-	target Key
-	seq    uint64
+	links map[Key]Key
 }
 
 // linkLog is the link log's file name under the base directory.
@@ -230,7 +232,7 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("cas: reading link log: %w", err)
 	}
-	d := &DiskStore{base: dir, links: map[Key]linkEntry{}}
+	d := &DiskStore{base: dir, links: map[Key]Key{}}
 	replayLinks(log, d.links)
 	return d, nil
 }
@@ -282,22 +284,22 @@ func parseLinkLine(line []byte) (name, target Key, ok bool) {
 // replayLinks folds a link log into links in log order, so the last record
 // of a name wins. A line that is not a record (a torn tail, a flipped byte,
 // anything else) is skipped: replay cannot fail on log content.
-func replayLinks(log []byte, links map[Key]linkEntry) {
+func replayLinks(log []byte, links map[Key]Key) {
 	for _, line := range bytes.Split(log, []byte{'\n'}) {
 		if name, target, ok := parseLinkLine(line); ok {
-			links[name] = linkEntry{target: target}
+			links[name] = target
 		}
 	}
 }
 
-// writeAtomic writes data to path via temp file + rename, durably: the temp
-// file is fsynced before the rename (so the rename can never publish a name
-// whose bytes are still in the page cache when power fails) and the parent
-// directory is fsynced after it (so the directory entry itself survives a
-// crash). Objects land world-readable (0o644) regardless of the process
-// umask — CreateTemp's 0o600 default would make a store written by one user
-// unreadable to the review tooling that later serves it. Every failure path
-// removes the temp file; a failed write leaves no .tmp-* litter behind.
+// writeAtomic writes data to path via temp file + rename, so a reader sees
+// the old file or the whole new one. Nothing is fsynced: after a crash the
+// file may be missing or hold other bytes, which Get reports as absent or
+// ErrCorrupt, never as the object. Objects land world-readable (0o644)
+// regardless of the process umask — CreateTemp's 0o600 default would make a
+// store written by one user unreadable to the review tooling that later
+// serves it. Every failure path removes the temp file; a failed write
+// leaves no .tmp-* litter behind.
 func (d *DiskStore) writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -318,9 +320,6 @@ func (d *DiskStore) writeAtomic(path string, data []byte) error {
 	if err := tmp.Chmod(0o644); err != nil {
 		return cleanup(err)
 	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return err
@@ -329,28 +328,16 @@ func (d *DiskStore) writeAtomic(path string, data []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return syncDir(dir)
+	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry is durable, not merely
-// present in the in-memory dentry cache.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Put implements Store.
+// Put implements Store. It dedups onto an existing object only when that
+// object still holds data; any other file under the key (torn by a crash,
+// or flipped on disk) is replaced, so putting the original bytes heals it.
 func (d *DiskStore) Put(data []byte) (Key, error) {
 	k := KeyOf(data)
 	path := d.objectPath(k)
-	if _, err := os.Stat(path); err == nil {
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, data) {
 		return k, nil // dedup: content already present
 	}
 	if err := d.writeAtomic(path, data); err != nil {
@@ -360,7 +347,8 @@ func (d *DiskStore) Put(data []byte) (Key, error) {
 }
 
 // Get implements Store. It re-hashes the bytes it reads: an object that no
-// longer matches its key is an ErrCorrupt error, and no bytes.
+// longer matches its key is an ErrCorrupt error, and no bytes. Get writes
+// nothing, so reading a damaged runpack leaves it as it is.
 func (d *DiskStore) Get(k Key) ([]byte, bool, error) {
 	if !k.Valid() {
 		return nil, false, fmt.Errorf("cas: malformed key %q", k)
@@ -379,66 +367,45 @@ func (d *DiskStore) Get(k Key) ([]byte, bool, error) {
 }
 
 // Link implements Store. The record reaches links.log in one write on an
-// O_APPEND descriptor and is fsynced before the table changes, so a Link
-// that returned nil survives a crash and Resolve never answers from a
-// record the log could still lose. Only the write is serialized: the fsyncs
-// of concurrent Links overlap.
+// O_APPEND descriptor, and the table changes only once that write and the
+// descriptor's Close succeeded, so a failed Link leaves the old target. The
+// log is not fsynced: a crash may cut it, and replay skips the cut record.
 func (d *DiskStore) Link(name, target Key) error {
 	if !name.Valid() || !target.Valid() {
 		return fmt.Errorf("cas: malformed link %q -> %q", name, target)
 	}
-	seq, err := d.appendLink(linkRecord(name, target))
+	f, err := d.openLog()
+	if err != nil {
+		return fmt.Errorf("cas: writing link %s: %w", name.Short(), err)
+	}
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	_, err = f.Write(linkRecord(name, target))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return fmt.Errorf("cas: writing link %s: %w", name.Short(), err)
 	}
 	d.mu.Lock()
-	if cur, ok := d.links[name]; !ok || cur.seq < seq {
-		d.links[name] = linkEntry{target: target, seq: seq}
-	}
+	d.links[name] = target
 	d.mu.Unlock()
 	return nil
 }
 
-// appendLink appends rec to the link log, durably, and returns its seq.
-func (d *DiskStore) appendLink(rec []byte) (uint64, error) {
-	f, err := d.openLog()
-	if err != nil {
-		return 0, err
-	}
-	d.wmu.Lock()
-	_, err = f.Write(rec)
-	d.seq++
-	seq := d.seq
-	d.wmu.Unlock()
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return seq, err
-}
-
 // openLog opens links.log for appending. The Link that finds no log creates
-// it, 0644 whatever the umask, and fsyncs the base directory while holding
-// wmu, so no record is written before the log's own name is durable.
+// it, 0644 whatever the umask.
 func (d *DiskStore) openLog() (*os.File, error) {
 	path := filepath.Join(d.base, linkLog)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if !errors.Is(err, fs.ErrNotExist) {
 		return f, err
 	}
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
 	f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := syncDir(d.base); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -451,9 +418,9 @@ func (d *DiskStore) Resolve(name Key) (Key, bool, error) {
 		return "", false, fmt.Errorf("cas: malformed key %q", name)
 	}
 	d.mu.RLock()
-	e, ok := d.links[name]
+	target, ok := d.links[name]
 	d.mu.RUnlock()
-	return e.target, ok, nil
+	return target, ok, nil
 }
 
 // Links implements Store.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -213,8 +214,9 @@ func TestRegistryMemoKeyCoversSeed(t *testing.T) {
 	}
 }
 
-// A memoized result whose blob was flipped on disk fails the run with
-// cas.ErrCorrupt: it is neither decoded and served nor silently re-run.
+// A memoized result whose blob was flipped on disk is a miss: the body runs
+// once more and returns the original bytes, never the corrupt ones, and its
+// Put replaces the bad file, so the third run is a hit.
 func TestRegistryRunCorruptBlob(t *testing.T) {
 	r := NewRegistry()
 	executed := 0
@@ -238,20 +240,29 @@ func TestRegistryRunCorruptBlob(t *testing.T) {
 		t.Fatalf("stored objects %v, err %v; want the one result", keys, err)
 	}
 	path := filepath.Join(dir, "objects", string(keys[0][:2]), string(keys[0][2:]))
-	data, err := os.ReadFile(path)
+	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := bytes.Clone(orig)
 	data[len(data)/2] ^= 0x01
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(context.Background(), &Env{Seed: 1, Store: store}, "stored")
-	if !errors.Is(err, cas.ErrCorrupt) || res != nil {
-		t.Fatalf("run over a corrupt blob: res %v, err %v; want cas.ErrCorrupt", res, err)
+	for run, want := range []struct {
+		executed int
+		cached   bool
+	}{{2, false}, {2, true}} {
+		res, err := r.Run(context.Background(), &Env{Seed: 1, Store: store}, "stored")
+		if err != nil || res.Artifacts["v"] != "bytes on disk" {
+			t.Fatalf("run %d over a corrupt blob: res %v, err %v; want the original result", run+2, res, err)
+		}
+		if executed != want.executed || res.Provenance.Cached != want.cached {
+			t.Fatalf("run %d: %d bodies executed, cached %v; want %d and %v", run+2, executed, res.Provenance.Cached, want.executed, want.cached)
+		}
 	}
-	if executed != 1 {
-		t.Fatalf("executed %d bodies, want 1", executed)
+	if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, orig) {
+		t.Fatalf("object after the re-run: %q, %v; want the original bytes", healed, err)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -148,7 +149,9 @@ const (
 //
 // Blob storage is content-addressed, so identical artifacts across packs
 // sharing a store directory deduplicate, and a blob's path is its digest —
-// the manifest is the only name table.
+// the manifest is the only name table. A pack is a deliverable, not a cache:
+// the store its blobs go through syncs nothing, so WriteDir returns only
+// after every file and directory under dir is fsynced.
 func (p *Pack) WriteDir(dir string) error {
 	store, err := cas.NewDiskStore(filepath.Join(dir, blobsDir))
 	if err != nil {
@@ -166,7 +169,26 @@ func (p *Pack) WriteDir(dir string) error {
 	if err := os.WriteFile(filepath.Join(dir, manifestFile), p.Raw, 0o644); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, signatureFile), append(sigRaw, '\n'), 0o644)
+	if err := os.WriteFile(filepath.Join(dir, signatureFile), append(sigRaw, '\n'), 0o644); err != nil {
+		return err
+	}
+	return filepath.WalkDir(dir, func(path string, _ fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		err = f.Sync()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("runpack: syncing %s: %w", path, err)
+		}
+		return nil
+	})
 }
 
 // ReadDir loads a pack written by WriteDir. Blobs are looked up by the

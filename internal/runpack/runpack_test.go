@@ -414,3 +414,35 @@ func TestEd25519KeyMatchesFreshExpansion(t *testing.T) {
 		t.Fatalf("hmac key has public key %q", pub)
 	}
 }
+
+// FuzzDecodeBundle feeds arbitrary bytes to DecodeBundle, the parser of
+// bundles a client fetched from smsd. It never panics and returns a pack or
+// an error, never both; a decoded pack's Verify under DevKey returns nil or
+// an error that wraps exactly one of Verify's sentinels.
+func FuzzDecodeBundle(f *testing.F) {
+	key := DevKey()
+	sentinels := []error{ErrFormat, ErrNotCanonical, ErrManifestDigest, ErrSignature,
+		ErrArtifactMissing, ErrArtifactSize, ErrArtifactDigest, ErrArtifactUnknown}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeBundle(data)
+		if (p == nil) == (err == nil) {
+			t.Fatalf("DecodeBundle = pack %v, err %v; want exactly one", p != nil, err)
+		}
+		if err != nil {
+			return
+		}
+		err = p.Verify(VerifyOpts{Key: &key})
+		if err == nil {
+			return
+		}
+		n := 0
+		for _, s := range sentinels {
+			if errors.Is(err, s) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("Verify: %v wraps %d sentinels, want 1", err, n)
+		}
+	})
+}

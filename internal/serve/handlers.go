@@ -139,9 +139,17 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // before more of it is read.
 const maxSubmitBytes = 4 << 10
 
-// maxQuoted bounds how many bytes of a client-sent name an error answer
-// quotes.
+// maxQuoted bounds how many bytes of a client-sent name, or of an error
+// that quotes the client's body, an error answer quotes.
 const maxQuoted = 64
+
+// clip cuts s to maxQuoted bytes, marking a cut with "...".
+func clip(s string) string {
+	if len(s) > maxQuoted {
+		return s[:maxQuoted] + "..."
+	}
+	return s
+}
 
 // handleSubmit accepts a SubmitRequest and admits it: 202 on enqueue, 200
 // when the (name, seed) pair is already known (idempotent dedup), 400 on a
@@ -167,15 +175,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "submit body exceeds %d bytes", maxSubmitBytes)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "malformed submit body: %v", err)
+		writeError(w, http.StatusBadRequest, "malformed submit body: %s", clip(err.Error()))
 		return
 	}
 	if _, ok := s.cfg.Registry.Get(req.Name); !ok {
-		name := req.Name
-		if len(name) > maxQuoted {
-			name = name[:maxQuoted] + "..."
-		}
-		writeError(w, http.StatusNotFound, "unknown experiment %q (GET /experiments lists them)", name)
+		writeError(w, http.StatusNotFound, "unknown experiment %q (GET /experiments lists them)", clip(req.Name))
 		return
 	}
 	seed := s.cfg.Seed
@@ -237,7 +241,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	s.met.Inc("serve.artifact.bytes", int64(len(data)))
 	// The link target is the blob's content address, so the digest header
 	// lets a client integrity-check the body offline. A DiskStore re-hashes
-	// what it reads: bytes that no longer match are fetch's 500, never a
+	// what it reads: bytes that no longer match are fetch's 410, never a
 	// body under this header.
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("X-Content-Digest", "sha256:"+string(target))
@@ -266,8 +270,8 @@ func (s *Server) handleRunpack(w http.ResponseWriter, r *http.Request) {
 // fetch recalls what done job id published under link. Unless it returns
 // ok it has answered: 404 for an unknown job or an absent link, 409 before
 // the job completes or when it failed, 410 when the link dangles (blob
-// evicted), 500 on a store error. what and name (may be empty) name the
-// blob in those answers.
+// evicted, or corrupt on disk), 500 on a store error. what and name (may be
+// empty) name the blob in those answers.
 func (s *Server) fetch(w http.ResponseWriter, id, what, name string, link func() cas.Key) (cas.Key, []byte, bool) {
 	j, ok := s.lookupJob(id)
 	if !ok {
@@ -297,7 +301,7 @@ func (s *Server) fetch(w http.ResponseWriter, id, what, name string, link func()
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, "reading %s: %v", what, err)
 	case target != "":
-		writeError(w, http.StatusGone, "%s evicted from store", what)
+		writeError(w, http.StatusGone, "%s gone from store", what)
 	default:
 		writeError(w, http.StatusNotFound, "submission %s has no %s", id, what)
 	}

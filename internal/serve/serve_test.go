@@ -427,8 +427,8 @@ func warmRestart(t *testing.T, open func() (cas.Store, error)) {
 	}
 }
 
-// A flipped byte in a stored artifact answers 500: the bytes are never
-// served under the digest header that names them.
+// A flipped byte in a stored artifact answers 410, as an evicted one does:
+// none of its bytes are served, and no digest header names them.
 func TestArtifactCorruptOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	store, err := cas.NewDiskStore(dir)
@@ -454,12 +454,11 @@ func TestArtifactCorruptOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	w = do(srv, http.MethodGet, path, "")
-	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "corrupt") ||
-		w.Header().Get("X-Content-Digest") != "" {
-		t.Fatalf("corrupt artifact: %d %q digest=%q, want a 500", w.Code, w.Body.String(), w.Header().Get("X-Content-Digest"))
+	if w.Code != http.StatusGone || w.Header().Get("X-Content-Digest") != "" {
+		t.Fatalf("corrupt artifact: %d %q digest=%q, want a 410", w.Code, w.Body.String(), w.Header().Get("X-Content-Digest"))
 	}
 	if strings.Contains(w.Body.String(), body[:len(body)/2]) {
-		t.Fatal("500 body carries the artifact bytes")
+		t.Fatal("410 body carries the artifact bytes")
 	}
 }
 

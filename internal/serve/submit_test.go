@@ -14,11 +14,18 @@ import (
 	"repro/internal/runpack"
 )
 
+// maxAnswer bounds the length of any error answer to POST /experiments.
+const maxAnswer = 16 * maxQuoted
+
 // TestSubmitBody covers what POST /experiments makes of its body: exactly
 // one JSON object of at most maxSubmitBytes, naming a registered
-// experiment. An error answer quotes at most maxQuoted bytes of the name.
+// experiment. An error answer quotes at most maxQuoted bytes of the name or
+// of the decoder's error, and is at most maxAnswer bytes long.
 func TestSubmitBody(t *testing.T) {
 	x := strings.Repeat("x", 1000)
+	// 670 escaped control bytes: %q spells each as \x01, and JSON doubles
+	// the backslash, so the decoder's whole error would answer in 3,410 bytes.
+	escapes := `{"` + strings.Repeat(`\u0001`, 670) + `":1}`
 	atLimit := `{"name":"synth/a","seed":5}`
 	atLimit += strings.Repeat(" ", maxSubmitBytes-len(atLimit))
 	for _, c := range []struct {
@@ -33,6 +40,7 @@ func TestSubmitBody(t *testing.T) {
 		{"second object", `{"name":"synth/a","seed":3}{"name":"synth/a"}`, http.StatusBadRequest, "more than one JSON value"},
 		{"torn second value", `{"name":"synth/a","seed":3} {`, http.StatusBadRequest, "unexpected EOF"},
 		{"empty", ``, http.StatusBadRequest, "EOF"},
+		{"unknown field of escapes", escapes, http.StatusBadRequest, `unknown field "\x01`},
 		{"unknown name", `{"name":"no/such"}`, http.StatusNotFound, `"no/such"`},
 		{"long unknown name", `{"name":"` + x + `"}`, http.StatusNotFound, `"` + x[:maxQuoted] + `..."`},
 		{"over the limit", atLimit + " ", http.StatusRequestEntityTooLarge, "exceeds"},
@@ -49,6 +57,9 @@ func TestSubmitBody(t *testing.T) {
 			}
 			if c.quotes == "" {
 				return
+			}
+			if w.Body.Len() > maxAnswer {
+				t.Errorf("answer of %d bytes to a %d-byte body, want at most %d", w.Body.Len(), len(c.body), maxAnswer)
 			}
 			var e errorResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
@@ -98,8 +109,8 @@ func TestSubmitOversizedBodyAllocs(t *testing.T) {
 // FuzzSubmit drives POST /experiments with arbitrary bodies, each on a fresh
 // server over a one-experiment registry, so an answer depends on its body
 // alone. No body may panic the handler; every answer is one of the submit
-// contract's codes; an admitted job is the registered experiment; and a 404
-// quotes at most a short prefix of the name.
+// contract's codes; an admitted job is the registered experiment; and a 400
+// or 404 answer is at most maxAnswer bytes.
 func FuzzSubmit(f *testing.F) {
 	reg := synthRegistry(f, nil, "synth/a")
 	key := runpack.NewHMACKey([]byte("fuzz"))
@@ -117,12 +128,11 @@ func FuzzSubmit(f *testing.F) {
 			if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || st.Experiment != "synth/a" {
 				t.Fatalf("submit %q = %d with status %q (%v)", body, w.Code, w.Body.String(), err)
 			}
-		case http.StatusNotFound:
-			if w.Body.Len() > 16*maxQuoted {
-				t.Fatalf("404 answer of %d bytes for a %d-byte body", w.Body.Len(), len(body))
+		case http.StatusBadRequest, http.StatusNotFound:
+			if w.Body.Len() > maxAnswer {
+				t.Fatalf("%d answer of %d bytes for a %d-byte body", w.Code, w.Body.Len(), len(body))
 			}
-		case http.StatusBadRequest, http.StatusRequestEntityTooLarge,
-			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		case http.StatusRequestEntityTooLarge, http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		default:
 			t.Fatalf("submit %q = %d: %s", body, w.Code, w.Body.String())
 		}
